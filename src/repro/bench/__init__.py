@@ -751,7 +751,9 @@ def main(argv: Optional[list] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Wall-clock benchmark of the simulator's two backends.",
+        description="Wall-clock benchmark of the simulator's three engines "
+        "(interp, compiled, megablock) and, with --serve, of the kernel "
+        "server on its default engine.",
     )
     parser.add_argument(
         "--out", default="BENCH_gpusim.json", help="output JSON path"

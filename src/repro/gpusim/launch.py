@@ -1,10 +1,10 @@
 """Kernel launch API: the simulator's host-side runtime.
 
 ``launch`` plays the role of ``kernel<<<grid, block>>>(args)``: it allocates
-global buffers for array arguments, runs every thread block through the SIMT
-interpreter (optionally sampling blocks for very large grids), and combines
-the collected statistics with the occupancy calculator and the Hong–Kim
-timing model into a :class:`LaunchResult`.
+global buffers for array arguments, runs the thread blocks the way
+:func:`plan_launch` decides (optionally sampling blocks for very large
+grids), and combines the collected statistics with the occupancy calculator
+and the Hong–Kim timing model into a :class:`LaunchResult`.
 
 Error model (CUDA-style).  A faulting launch behaves like a sticky per-launch
 device error: with ``on_error="raise"`` (the default) the enriched
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -91,27 +91,22 @@ class LaunchResult:
     #: The exact (ascending, deduplicated) linear block IDs executed when
     #: ``sample_blocks`` sampled the grid; None for a full-grid launch.
     sampled_block_ids: Optional[tuple[int, ...]] = None
-    #: Execution backend that ran the launch: "interp", "compiled" or
-    #: "megablock".
-    backend: str = "interp"
+    #: Execution engine that ran the launch: "megablock" (the default),
+    #: "compiled" or "interp" — see :func:`resolve_backend`.
+    backend: str = "megablock"
     #: Worker-process count when the parallel block scheduler ran this
     #: launch; None when blocks executed sequentially.
     parallel_workers: Optional[int] = None
     #: Why a *requested* parallel launch (>= 2 resolved workers) ran
-    #: sequentially instead; None when it ran parallel or was never
-    #: requested.  One of: "single-block", "trace", "faults", "sanitizer",
-    #: "atomics", "unavailable", "worker-fault", "breaker-open".
+    #: sequentially; None when it ran parallel or was never requested.  A
+    #: pool reason of :data:`ELIGIBILITY`, or "worker-fault" (a worker
+    #: faulted and the launch reran sequentially).
     parallel_fallback: Optional[str] = None
-    #: Why a *requested* megablock launch (``backend="megablock"``) executed
-    #: blocks through the per-block compiled engine instead of the batched
-    #: block axis; None when batching ran (or was never requested).  One of:
-    #: "single-block", "trace", "faults", "sanitizer", "atomic-order" (the
-    #: kernel uses atomics but cannot flatten the warp axis, so the batch
-    #: could not reproduce sequential atomic order — see
-    #: :func:`~repro.gpusim.megablock.megablock_flatten`),
-    #: "sim-fault" (the batched attempt raised, global memory was restored
-    #: from the launch snapshot, and the per-block rerun reproduced the
-    #: exact semantics).  :attr:`backend` stays "megablock" either way.
+    #: Why a megablock launch ran per block on the compiled closures instead
+    #: of as one batch; None when it batched (or was never megablock).  A
+    #: batch reason of :data:`ELIGIBILITY`, or "sim-fault" (the batch raised,
+    #: global memory was restored from the launch snapshot, and the
+    #: per-block rerun reproduced the exact semantics).
     megablock_fallback: Optional[str] = None
     #: Whether the batched megablock run folded the warp axis into the batch
     #: (megawarp: one ``(blocks × warps, lanes)`` stack, the only mode that
@@ -177,6 +172,99 @@ class LaunchResult:
         return self.timing.milliseconds
 
 
+BACKENDS = ("interp", "compiled", "megablock")
+
+
+def resolve_backend(backend: Optional[str] = None) -> str:
+    """The engine a launch runs: explicit ``backend=``, then the
+    ``GPUSIM_BACKEND`` environment variable, then ``"megablock"``."""
+    name = backend if backend is not None else (
+        os.environ.get("GPUSIM_BACKEND") or "megablock"
+    )
+    if name not in BACKENDS:
+        raise ValueError(
+            f"backend must be 'interp', 'compiled' or 'megablock', got {name!r}"
+        )
+    return name
+
+
+@dataclass(frozen=True)
+class LaunchFacts:
+    """What :data:`ELIGIBILITY` reads about one launch.  The probes cost
+    work (``batch_atomics`` lowers the megablock program) or change state
+    (``breaker_allows`` counts a skip on an open breaker), so they are
+    called at most once, and only when the table reaches their row."""
+
+    blocks: int
+    trace: bool = False
+    faults: object = None  # a FaultInjector, or None
+    sanitizer: bool = False
+    uses_atomics: bool = False
+    batch_atomics: Callable[[], bool] = lambda: True
+    scheduler_available: bool = True
+    breaker_allows: Callable[[], bool] = lambda: True
+
+
+#: The eligibility table, in order: ``(reason, refuses, condition)``.  A row
+#: refuses the megablock ``"batch"``, the worker ``"pool"``, or both; each
+#: takes the reason of the first row that refuses it and holds.  Every row
+#: that refuses the batch refuses the pool, so pooled megablock chunks batch.
+ELIGIBILITY = (
+    ("single-block", ("batch", "pool"), lambda f: f.blocks < 2),
+    ("trace", ("batch", "pool"), lambda f: f.trace),
+    # Worker-fault-only injectors need no interpreter hooks: the pool
+    # resolves their specs itself.
+    ("faults", ("batch", "pool"),
+     lambda f: f.faults is not None and not f.faults.worker_only()),
+    ("sanitizer", ("batch", "pool"), lambda f: f.sanitizer),
+    # Atomics batch only in the flattened (megawarp) row order.
+    ("atomic-order", ("batch",), lambda f: f.uses_atomics and not f.batch_atomics()),
+    # The pool's diff-based memory merge cannot accumulate across blocks.
+    ("atomics", ("pool",), lambda f: f.uses_atomics),
+    ("unavailable", ("pool",), lambda f: not f.scheduler_available),
+    ("breaker-open", ("pool",), lambda f: not f.breaker_allows()),
+)
+
+
+@dataclass(frozen=True)
+class LaunchPlan:
+    """How :func:`launch` runs one launch, decided before any block runs."""
+
+    engine: str  # LaunchResult.backend
+    batched: bool  # megablock runs the block axis as one batch
+    workers: int  # resolved ``parallel=`` count; < 2 runs sequentially
+    megablock_fallback: Optional[str] = None
+    parallel_fallback: Optional[str] = None
+
+    @property
+    def parallel(self) -> bool:
+        return self.workers >= 2 and self.parallel_fallback is None
+
+
+def plan_launch(
+    facts: LaunchFacts,
+    backend: Optional[str] = None,
+    parallel: Optional[Union[int, bool, str]] = None,
+) -> LaunchPlan:
+    """Decide engine, batching and parallelism for one launch; runs no
+    kernel.  Batch rows apply only to megablock and pool rows only to >= 2
+    resolved workers, so a reason names something that was requested."""
+    def refusal(target: str) -> Optional[str]:
+        return next((reason for reason, refuses, holds in ELIGIBILITY
+                     if target in refuses and holds(facts)), None)
+
+    engine = resolve_backend(backend)
+    workers = scheduler.resolve_workers(parallel)
+    batch_refusal = refusal("batch") if engine == "megablock" else None
+    return LaunchPlan(
+        engine=engine,
+        batched=engine == "megablock" and batch_refusal is None,
+        workers=workers,
+        megablock_fallback=batch_refusal,
+        parallel_fallback=refusal("pool") if workers >= 2 else None,
+    )
+
+
 def launch(
     kernel: Kernel,
     grid: Dim,
@@ -227,42 +315,33 @@ def launch(
     never-written shared or local elements, are collected — without aborting
     the launch — into :attr:`LaunchResult.sanitizer`.
 
-    ``backend`` selects the execution engine: ``"interp"`` (the reference
-    tree-walking interpreter) or ``"compiled"`` (the closure-compiled engine
-    of :mod:`repro.gpusim.compile`, cached across launches).  ``None`` defers
-    to the ``GPUSIM_BACKEND`` environment variable, defaulting to
-    ``"interp"``.  Both backends produce bit-identical results.
+    ``backend`` selects the engine: ``"megablock"`` (the batched engine of
+    :mod:`repro.gpusim.megablock`), ``"compiled"`` (closure-compiled, cached
+    across launches) or ``"interp"`` (the reference interpreter); ``None``
+    defers to ``GPUSIM_BACKEND``, defaulting to ``"megablock"``.  All three
+    produce bit-identical results.
 
-    ``parallel`` enables the block scheduler: an int worker count, ``True``
-    or ``"auto"`` for one worker per CPU (``None`` defers to
-    ``GPUSIM_PARALLEL``).  Blocks fan out across forked worker processes
-    only when no feature needs the exact sequential interleaving — tracing,
-    fault injection, the sanitizers, and kernels using ``atomicAdd``
-    (cross-block accumulation) all fall back to sequential execution, as
-    does any worker fault (the launch reruns sequentially for exact fault
-    semantics).  :attr:`LaunchResult.parallel_workers` reports what ran,
-    and :attr:`LaunchResult.parallel_fallback` names the reason whenever a
-    requested parallel launch ran sequentially.
+    ``parallel`` fans independent blocks out to worker processes: an int
+    worker count, ``True`` or ``"auto"`` for one per CPU (``None`` defers to
+    ``GPUSIM_PARALLEL``).  :func:`plan_launch` decides batching and
+    parallelism from :data:`ELIGIBILITY`; a refused launch runs per block,
+    with the reason on :attr:`LaunchResult.megablock_fallback` /
+    :attr:`LaunchResult.parallel_fallback`.  A batch that raises restores
+    global memory and reruns per block (``"sim-fault"``) and a worker fault
+    reruns sequentially (``"worker-fault"``), so fault semantics stay exact.
 
-    ``profile=True`` collects per-source-line hotspot counters and
-    per-block cost records into :attr:`LaunchResult.profile` (a
-    :class:`~repro.prof.counters.KernelProfile`); see :mod:`repro.prof`
-    for the Chrome-trace exporter and terminal reports.  Profiles are
-    bit-identical across backends and across sequential/parallel
-    scheduling.
+    ``profile=True`` collects per-source-line hotspot counters and per-block
+    cost records into :attr:`LaunchResult.profile` (see :mod:`repro.prof`),
+    bit-identical across backends and sequential/parallel scheduling.
 
     ``resilience`` overrides the parallel path's
-    :class:`~repro.gpusim.resilience.ResilienceConfig` (pool mode,
-    per-chunk deadline, retry budget, circuit-breaker threshold); ``None``
-    reads the ``GPUSIM_POOL`` / ``GPUSIM_LAUNCH_TIMEOUT`` /
-    ``GPUSIM_MAX_RETRIES`` / ``GPUSIM_BREAKER_THRESHOLD`` environment
-    knobs.  A parallel launch's journey down the degradation ladder
-    (parallel → fewer workers → sequential) lands on
-    :attr:`LaunchResult.resilience`, and a tripped circuit breaker makes
-    later launches fall back with reason ``"breaker-open"`` until its
-    half-open probe succeeds.  An injector whose specs are *all* worker
-    faults (``worker_crash`` / ``worker_hang`` / ``worker_slow``) does not
-    force the sequential path: the pool resolves those specs itself.
+    :class:`~repro.gpusim.resilience.ResilienceConfig` (pool mode, per-chunk
+    deadline, retry budget, breaker threshold); ``None`` reads the
+    ``GPUSIM_POOL`` / ``GPUSIM_LAUNCH_TIMEOUT`` / ``GPUSIM_MAX_RETRIES`` /
+    ``GPUSIM_BREAKER_THRESHOLD`` knobs.  The degradation ladder (parallel →
+    fewer workers → sequential) lands on :attr:`LaunchResult.resilience`; a
+    tripped circuit breaker makes later launches fall back with
+    ``"breaker-open"`` until its half-open probe succeeds.
 
     ``cache_dir`` activates the process-wide persistent cache tier rooted
     at that directory (equivalent to exporting ``GPUSIM_CACHE_DIR``):
@@ -276,14 +355,7 @@ def launch(
         diskcache.configure(cache_dir)
     if on_error not in ("raise", "status"):
         raise ValueError(f"on_error must be 'raise' or 'status', got {on_error!r}")
-    backend_name = (
-        backend if backend is not None else os.environ.get("GPUSIM_BACKEND") or "interp"
-    )
-    if backend_name not in ("interp", "compiled", "megablock"):
-        raise ValueError(
-            "backend must be 'interp', 'compiled' or 'megablock', "
-            f"got {backend_name!r}"
-        )
+    backend_name = resolve_backend(backend)
 
     stats = KernelStats()
     access_trace = AccessTrace(enabled=trace)
@@ -306,6 +378,21 @@ def launch(
     telemetry: Optional[ResilienceTelemetry] = None
     res_cfg = resilience if resilience is not None else ResilienceConfig.from_env()
     prof_obj = KernelProfile(kernel=kernel.name) if profile else None
+
+    def result(**outcome) -> LaunchResult:
+        return LaunchResult(
+            kernel_name=kernel.name, grid=grid3, block=block3, device=device,
+            stats=stats, gmem=gmem, trace=access_trace,
+            sampled_block_ids=sampled_ids, backend=backend_name,
+            parallel_workers=parallel_workers,
+            parallel_fallback=parallel_fallback,
+            megablock_fallback=megablock_fallback,
+            megablock_megawarp=megablock_megawarp, resilience=telemetry,
+            profile=prof_obj,
+            sanitizer=sanitizer.report() if sanitizer is not None else None,
+            **outcome,
+        )
+
     try:
         grid3 = _as_dim3(grid)
         block3 = _as_dim3(block)
@@ -349,20 +436,16 @@ def launch(
             faults.begin_launch(kernel.name, grid3, block3)
 
         # --- compile / scaffold ---------------------------------------------
-        # Both are launch-invariant: the closure program is cached across
-        # launches by source digest, the warp scaffolding is shared by every
-        # block of this launch.
-        # The megablock backend keeps the per-block closure program around
-        # too: it is the exact-semantics engine every ineligible or faulted
-        # batch falls back to.
+        # Both are launch-invariant (the closure program is cached by source
+        # digest).  Megablock keeps the per-block closure program too: it is
+        # the exact-semantics engine a refused or faulted batch falls back to.
         program = (
             compile_kernel(kernel, profile=profile)
-            if backend_name in ("compiled", "megablock")
-            else None
+            if backend_name != "interp" else None
         )
         scaffold = WarpScaffold(kernel, block3, grid3)
 
-        # --- execute blocks --------------------------------------------------
+        # --- choose the blocks ----------------------------------------------
         gx, gy, gz = grid3
         total_blocks = gx * gy * gz
         if sample_blocks is not None and sample_blocks < 1:
@@ -385,6 +468,42 @@ def launch(
         else:
             block_ids = list(range(total_blocks))
 
+        # --- plan ------------------------------------------------------------
+        def batch_atomics() -> bool:
+            mb = compile_megablock(kernel, profile=profile)
+            return mb.atomics_exact and megablock_flatten(
+                mb, scaffold.num_warps, bool(scaffold.shared_decls), synccheck
+            )
+
+        breaker = get_breaker()
+        plan = plan_launch(
+            LaunchFacts(
+                blocks=len(block_ids),
+                trace=trace,
+                faults=faults,
+                sanitizer=sanitizer is not None,
+                uses_atomics=(program.uses_atomics if program is not None
+                              else kernel_uses_atomics(kernel)),
+                batch_atomics=batch_atomics,
+                scheduler_available=scheduler.available(),
+                breaker_allows=lambda: breaker.allow(res_cfg),
+            ),
+            backend_name,
+            parallel,
+        )
+        megablock_fallback = plan.megablock_fallback
+        parallel_fallback = plan.parallel_fallback
+        if plan.workers >= 2 and parallel_fallback in (None, "breaker-open"):
+            # The attempt reached the scheduler's gate: make it observable.
+            telemetry = ResilienceTelemetry(pool_mode=res_cfg.pool_mode)
+            if parallel_fallback == "breaker-open":
+                telemetry.breaker_state = breaker.state
+                telemetry.degraded = "sequential"
+                telemetry.record(
+                    "breaker-skip", "circuit breaker open; running sequentially"
+                )
+
+        # --- execute blocks --------------------------------------------------
         def run_block(
             linear: int,
             stats_obj: KernelStats,
@@ -411,75 +530,8 @@ def launch(
             executor.run()
             return executor.shared_bytes
 
-        workers = scheduler.resolve_workers(parallel)
-        uses_atomics = (
-            program.uses_atomics if program is not None else kernel_uses_atomics(kernel)
-        )
-        # An injector whose every spec targets the worker pool needs no
-        # interpreter hooks, so it does not force the sequential path: the
-        # scheduler resolves those specs deterministically at dispatch.
-        faults_worker_only = faults is not None and faults.worker_only()
-        # Megablock eligibility: anything needing per-block interpreter
-        # hooks (trace, sim-faults, sanitizers) runs per block; the reason
-        # is observable on the result.  Atomics are batch-safe since the
-        # deterministic sort-by-address fold, but only under the flattened
-        # (megawarp) row order — when a kernel uses atomics and this launch
-        # cannot flatten, it falls back with reason "atomic-order".
-        mega_program = None
-        if backend_name == "megablock":
-            if len(block_ids) < 2:
-                megablock_fallback = "single-block"
-            elif trace:
-                megablock_fallback = "trace"
-            elif faults is not None and not faults_worker_only:
-                megablock_fallback = "faults"
-            elif sanitizer is not None:
-                megablock_fallback = "sanitizer"
-            else:
-                candidate = compile_megablock(kernel, profile=profile)
-                if candidate.uses_atomics and not (
-                    candidate.atomics_exact
-                    and megablock_flatten(
-                        candidate,
-                        scaffold.num_warps,
-                        bool(scaffold.shared_decls),
-                        synccheck,
-                    )
-                ):
-                    megablock_fallback = "atomic-order"
-                else:
-                    mega_program = candidate
-        # Record *why* a requested parallel launch degrades to sequential
-        # execution — only when parallelism was actually requested (>= 2
-        # resolved workers), so plain sequential launches stay None.
-        if workers >= 2:
-            if len(block_ids) < 2:
-                parallel_fallback = "single-block"
-            elif trace:
-                parallel_fallback = "trace"
-            elif faults is not None and not faults_worker_only:
-                parallel_fallback = "faults"
-            elif sanitizer is not None:
-                parallel_fallback = "sanitizer"
-            elif uses_atomics:
-                parallel_fallback = "atomics"
-            elif not scheduler.available():
-                parallel_fallback = "unavailable"
-            else:
-                # The attempt will reach the scheduler: make it observable.
-                telemetry = ResilienceTelemetry(pool_mode=res_cfg.pool_mode)
-                breaker = get_breaker()
-                if not breaker.allow(res_cfg):
-                    parallel_fallback = "breaker-open"
-                    telemetry.breaker_state = breaker.state
-                    telemetry.degraded = "sequential"
-                    telemetry.record(
-                        "breaker-skip",
-                        "circuit breaker open; running sequentially",
-                    )
         ran_parallel = False
-        if workers >= 2 and parallel_fallback is None:
-            breaker = get_breaker()
+        if plan.parallel:
             trips_before = breaker.trips
             spec = LaunchSpec(
                 kernel=kernel,
@@ -491,14 +543,7 @@ def launch(
                     cname: np.asarray(cdata)
                     for cname, cdata in (const_arrays or {}).items()
                 },
-                backend=(
-                    # Workers batch each chunk's block axis only when the
-                    # launch itself is batch-eligible; an ineligible
-                    # megablock launch runs per block in the workers too.
-                    backend_name
-                    if not (backend_name == "megablock" and mega_program is None)
-                    else "compiled"
-                ),
+                backend=backend_name,
                 synccheck=synccheck,
                 profile_kernel=kernel.name if profile else None,
             )
@@ -506,12 +551,13 @@ def launch(
                 run_block,
                 block_ids,
                 gmem,
-                workers,
+                plan.workers,
                 profile=prof_obj,
                 spec=spec,
                 config=res_cfg,
                 telemetry=telemetry,
-                injector=faults if faults_worker_only else None,
+                # The plan admits only worker-fault injectors to the pool.
+                injector=faults,
             )
             breaker.record_result(telemetry.worker_faults, res_cfg)
             telemetry.breaker_trips = breaker.trips - trips_before
@@ -529,38 +575,23 @@ def launch(
                 telemetry.degraded = "sequential"
         if not ran_parallel:
             ran_megablock = False
-            if mega_program is not None and parallel_fallback != "worker-fault":
+            if plan.batched and parallel_fallback != "worker-fault":
                 # Batched execution is speculative: snapshot global memory,
                 # run the whole block axis at once, and on ANY SimError
                 # restore the snapshot and rerun per block — the rerun
                 # reproduces the exact located fault and semantics.
-                snapshot = {
-                    name: buf.data.copy()
-                    for name, buf in gmem.buffers().items()
-                }
+                snapshot = {name: buf.data.copy() for name, buf in gmem.buffers().items()}
                 mb_stats = KernelStats()
                 mb_prof = (
-                    MegaProfile(
-                        kernel.name,
-                        block_ids,
-                        scaffold.num_warps,
-                        scaffold.total_threads,
-                    )
-                    if profile
-                    else None
+                    MegaProfile(kernel.name, block_ids, scaffold.num_warps,
+                                scaffold.total_threads)
+                    if profile else None
                 )
                 try:
                     mb_executor = MegablockExecutor(
-                        kernel,
-                        block_ids,
-                        block3,
-                        grid3,
-                        base_env,
-                        mb_stats,
-                        mega_program,
-                        synccheck=synccheck,
-                        scaffold=scaffold,
-                        profile=mb_prof,
+                        kernel, block_ids, block3, grid3, base_env, mb_stats,
+                        compile_megablock(kernel, profile=profile),
+                        synccheck=synccheck, scaffold=scaffold, profile=mb_prof,
                     )
                     mb_executor.run()
                 except SimError:
@@ -591,29 +622,12 @@ def launch(
             )
         if on_error == "raise":
             raise
-        report = FaultReport.from_exception(exc, kernel=kernel.name)
-        return LaunchResult(
-            kernel_name=kernel.name,
-            grid=grid3,
-            block=block3,
-            device=device,
-            stats=stats,
+        return result(
             occupancy=None,
             timing=None,
             usage=None,
-            gmem=gmem,
-            trace=access_trace,
             sampled_blocks=executed or None,
-            sampled_block_ids=sampled_ids,
-            backend=backend_name,
-            parallel_workers=parallel_workers,
-            parallel_fallback=parallel_fallback,
-            megablock_fallback=megablock_fallback,
-            megablock_megawarp=megablock_megawarp,
-            resilience=telemetry,
-            profile=prof_obj,
-            error=report,
-            sanitizer=sanitizer.report() if sanitizer is not None else None,
+            error=FaultReport.from_exception(exc, kernel=kernel.name),
         )
 
     timing_stats = stats
@@ -635,28 +649,11 @@ def launch(
     timing = estimate_kernel_time(
         device, timing_stats, occupancy, usage, total_warps=total_warps
     )
-
-    return LaunchResult(
-        kernel_name=kernel.name,
-        grid=grid3,
-        block=block3,
-        device=device,
-        stats=stats,
+    return result(
         occupancy=occupancy,
         timing=timing,
         usage=usage,
-        gmem=gmem,
-        trace=access_trace,
         sampled_blocks=executed if executed < total_blocks else None,
-        sampled_block_ids=sampled_ids,
-        backend=backend_name,
-        parallel_workers=parallel_workers,
-        parallel_fallback=parallel_fallback,
-        megablock_fallback=megablock_fallback,
-        megablock_megawarp=megablock_megawarp,
-        resilience=telemetry,
-        profile=prof_obj,
-        sanitizer=sanitizer.report() if sanitizer is not None else None,
     )
 
 

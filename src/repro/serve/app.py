@@ -94,6 +94,9 @@ class KernelServer(ThreadingHTTPServer):
 class ServeHandler(BaseHTTPRequestHandler):
     server: KernelServer
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: ``_send`` writes headers and body in two sends, and
+    # Nagle would hold the body until the client's delayed ACK (~20-40 ms).
+    disable_nagle_algorithm = True
 
     # Quiet by default: per-request stderr lines are noise under load.
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature

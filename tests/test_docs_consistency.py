@@ -175,6 +175,24 @@ class TestReadme:
             assert f'"{column}"' in bench_src, column
             assert f"`{column}`" in readme or f'"{column}"' in readme, column
 
+    def test_default_engine_is_the_one_launch_runs(self, monkeypatch):
+        """The engine the Performance section marks "(default)" is the one
+        launch() runs with no backend argument and no GPUSIM_BACKEND."""
+        import numpy as np
+
+        from repro.gpusim.launch import run_kernel
+
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Performance", 1)[1].split("\n## ", 1)[0]
+        marked = re.findall(r"\*\*`(\w+)`\*\* \(default\)", section)
+        assert len(marked) == 1, marked
+        monkeypatch.delenv("GPUSIM_BACKEND", raising=False)
+        result = run_kernel(
+            "__global__ void t(int *o) { o[blockIdx.x * 32 + threadIdx.x] = 1; }",
+            2, 32, {"o": np.zeros(64, np.int32)},
+        )
+        assert result.backend == marked[0]
+
     def test_serving_section_documents_real_surface(self):
         """The Serving section's endpoints, knobs, CLI flags, and wire
         fields must all exist in the serve layer."""

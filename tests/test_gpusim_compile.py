@@ -227,9 +227,9 @@ class TestEnvToggle:
     def run(self):
         return run_kernel(self.SRC, 1, 32, {"o": np.zeros(32, np.int32)})
 
-    def test_default_is_interp(self, monkeypatch):
+    def test_default_is_megablock(self, monkeypatch):
         monkeypatch.delenv("GPUSIM_BACKEND", raising=False)
-        assert self.run().backend == "interp"
+        assert self.run().backend == "megablock"
 
     def test_env_selects_compiled(self, monkeypatch):
         monkeypatch.setenv("GPUSIM_BACKEND", "compiled")

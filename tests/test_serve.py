@@ -444,6 +444,25 @@ class TestServerHTTP:
                 == counters["completed"])
         assert counters["admitted"] >= counters["completed"]
 
+    def test_responses_sent_with_tcp_nodelay(self, client, monkeypatch):
+        """Headers and body go out in two sends; without TCP_NODELAY, Nagle
+        holds the body back until the client's delayed ACK."""
+        import socket
+
+        from repro.serve.app import ServeHandler
+
+        seen = []
+        setup = ServeHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(ServeHandler, "setup", recording_setup)
+        client.launch(SAXPY, 4, 64, _payload()["args"], tenant="nodelay")
+        assert seen and all(seen)
+
     def test_drain_refuses_new_tenants(self, server, client):
         client.launch(SAXPY, 4, 64, _payload()["args"], tenant="early")
         assert server.tenants.close_all(5.0)
