@@ -1,17 +1,17 @@
-"""Wall-clock benchmark harness for the three execution backends.
+"""Wall-clock benchmark harness for the two execution backends.
 
-The simulator has a *modeled* clock (:mod:`repro.gpusim.timing`) that all
+The simulator has a *modeled* clock (:mod:`repro.gpusim.timing`) that both
 backends report identically; this harness measures the other axis — how long
-the simulator itself takes to run a kernel — so the closure-compiled and
-batch-vectorized megablock engines' speedups over the tree-walking
-interpreter have a recorded trajectory.
+the simulator itself takes to run a kernel — so the batch-vectorized
+megablock engine's speedup over the tree-walking interpreter has a recorded
+trajectory.
 
 ``python -m repro.bench`` times each selected paper benchmark on the
-interpreter, the compiled backend, and the megablock backend (compile caches
-warmed first, so the once-per-source lowering cost is excluded and recorded
-separately as ``compile_ms``), optionally with the parallel block scheduler,
-and writes ``BENCH_gpusim.json``.  Timings are best-of-``repeats``
-wall-clock; speedups are interp/<backend> per kernel plus geometric means.
+interpreter and the megablock backend (lowering cache warmed first, so the
+once-per-source lowering cost is excluded and recorded separately as
+``compile_ms``), optionally with the parallel block scheduler, and writes
+``BENCH_gpusim.json``.  Timings are best-of-``repeats`` wall-clock; speedups
+are interp/<run> per kernel plus geometric means.
 When the parallel pass is skipped the record says why
 (``"skipped": "<reason>"``) instead of leaving bare nulls.
 """
@@ -69,8 +69,8 @@ def _compile_split(bench) -> tuple[dict, int, str]:
 
     The execute-time columns are measured with warm caches; this records the
     other half of the compile-vs-execute split explicitly so the JSON shows
-    what a cold first launch would add.  Three components: the two engine
-    lowerings (``cache=False``) and the NP source-to-source transform over
+    what a cold first launch would add.  Two components: the megablock
+    lowering (``cache=False``) and the NP source-to-source transform over
     the kernel's full variant space (in-memory variant cache cleared first,
     so with the persistent disk tier active a warm process pays only
     rehydration — the cold-vs-warm CI gate keys off this column).
@@ -80,20 +80,14 @@ def _compile_split(bench) -> tuple[dict, int, str]:
     variant sources in config order (warm and cold runs must agree
     bit-for-bit).
     """
-    from ..gpusim.compile import compile_kernel
     from ..gpusim.megablock import compile_megablock
     from ..minicuda.errors import MiniCudaError
     from ..minicuda.pretty import emit_kernel
     from ..npc.pipeline import clear_variant_cache
 
-    split = {}
-    for column, lower in (
-        ("compiled", compile_kernel),
-        ("megablock", compile_megablock),
-    ):
-        t0 = time.perf_counter()
-        lower(bench.kernel, cache=False)
-        split[column] = round((time.perf_counter() - t0) * 1e3, 3)
+    t0 = time.perf_counter()
+    compile_megablock(bench.kernel, cache=False)
+    split = {"megablock": round((time.perf_counter() - t0) * 1e3, 3)}
 
     clear_variant_cache()
     configs = bench.configs()
@@ -133,13 +127,12 @@ def bench_kernel(
     profile: bool = False,
     parallel_skip: Optional[str] = None,
 ) -> dict:
-    """Time one benchmark on all three backends; returns a JSON-ready record.
+    """Time one benchmark on both backends; returns a JSON-ready record.
 
     ``profile=True`` additionally runs one *untimed* profiled launch per
     backend (profiling hooks would distort the wall-clock comparison) and
     records the profiles in the :mod:`repro.prof` registry as
-    ``"bench/<name>/interp"`` / ``"bench/<name>/compiled"`` /
-    ``"bench/<name>/megablock"``.
+    ``"bench/<name>/interp"`` / ``"bench/<name>/megablock"``.
 
     When ``parallel`` is falsy, ``parallel_skip`` names the reason in the
     record's ``"skipped"`` field ("not-requested" by default) so a null
@@ -148,13 +141,10 @@ def bench_kernel(
     from ..gpusim.diskcache import disk_cache_stats
 
     bench = BENCHMARKS[name]()
-    # Warm the kernel compile caches so lowering cost is excluded from the
-    # execute columns (it is a once-per-source cost shared by every later
-    # launch); the cold cost is recorded separately below.
-    bench.run_baseline(backend="compiled", sample_blocks=1)
-    from ..gpusim.megablock import compile_megablock
-
-    compile_megablock(bench.kernel)  # warm the #mb cache entry (digest-keyed)
+    # Warm the lowering cache so lowering cost is excluded from the execute
+    # columns (it is a once-per-source cost shared by every later launch);
+    # the cold cost is recorded separately below.
+    bench.run_baseline(backend="megablock", sample_blocks=1)
     cache_before = disk_cache_stats("variant")
     compile_ms, np_variants, variants_digest = _compile_split(bench)
     cache_after = disk_cache_stats("variant")
@@ -162,7 +152,7 @@ def bench_kernel(
     if profile:
         from ..prof import record_profile
 
-        for backend in ("interp", "compiled", "megablock"):
+        for backend in ("interp", "megablock"):
             profiled = bench.run_baseline(backend=backend, profile=True)
             record_profile(
                 f"bench/{name}/{backend}",
@@ -171,18 +161,17 @@ def bench_kernel(
             )
 
     interp_s, _ = _time_launch(bench, repeats, backend="interp")
-    compiled_s, compiled_result = _time_launch(bench, repeats, backend="compiled")
     mega_s, mega_result = _time_launch(bench, repeats, backend="megablock")
     record = {
-        "grid": compiled_result.grid,
-        "block": compiled_result.block,
+        "grid": mega_result.grid,
+        "block": mega_result.block,
         "compile_ms": compile_ms,
         # How many NP variants the np_transform column covers, and digests
         # proving cold and warm (disk-tier) runs produce identical code and
         # identical execution — the cold-vs-warm CI gate compares these.
         "np_variants": np_variants,
         "variants_digest": variants_digest,
-        "output_digest": _output_digest(compiled_result),
+        "output_digest": _output_digest(mega_result),
         # Disk-tier traffic of this kernel's np_transform measurement
         # (all zeros when no GPUSIM_CACHE_DIR is configured).
         "cache": {
@@ -191,11 +180,8 @@ def bench_kernel(
             "disk_stores": cache_after.stores - cache_before.stores,
         },
         "interp_ms": round(interp_s * 1e3, 3),
-        "compiled_ms": round(compiled_s * 1e3, 3),
-        "speedup_compiled": round(interp_s / compiled_s, 3),
         "megablock_ms": round(mega_s * 1e3, 3),
         "speedup_megablock": round(interp_s / mega_s, 3),
-        "megablock_over_compiled": round(compiled_s / mega_s, 3),
         "megablock_fallback": mega_result.megablock_fallback,
         # True when the whole grid ran as one flattened (blocks x warps,
         # lanes) batch — the megawarp fast path; False for per-block
@@ -212,14 +198,14 @@ def bench_kernel(
     par_s = None
     if parallel:
         par_s, par_result = _time_launch(
-            bench, repeats, backend="compiled", parallel=parallel
+            bench, repeats, backend="megablock", parallel=parallel
         )
         record["parallel_ms"] = round(par_s * 1e3, 3)
         record["parallel_workers"] = par_result.parallel_workers
         record["speedup_parallel"] = round(interp_s / par_s, 3)
     else:
         record["skipped"] = parallel_skip or "not-requested"
-    best_s = min(s for s in (compiled_s, mega_s, par_s) if s is not None)
+    best_s = min(s for s in (mega_s, par_s) if s is not None)
     record["best_ms"] = round(best_s * 1e3, 3)
     record["speedup_best"] = round(interp_s / best_s, 3)
     return record
@@ -255,7 +241,7 @@ def run_bench(
         )
     speedups = [r["speedup_best"] for r in records.values()]
     mega_ratios = [
-        r["megablock_over_compiled"]
+        r["speedup_megablock"]
         for r in records.values()
         if r["megablock_fallback"] is None
     ]
@@ -289,10 +275,10 @@ def run_bench(
         },
         "geomean_speedup": round(float(np.exp(np.mean(np.log(speedups)))), 3),
         "max_speedup": round(max(speedups), 3),
-        # Megablock-over-compiled geomean across batch-eligible kernels
-        # (fallback kernels run the same per-block engine on both columns,
-        # so including them would just dilute the ratio toward 1).
-        "geomean_megablock_over_compiled": (
+        # Megablock-over-interp geomean across batch-eligible kernels
+        # (fallback kernels run the interpreter on both columns, so
+        # including them would just dilute the ratio toward 1).
+        "geomean_speedup_megablock": (
             round(float(np.exp(np.mean(np.log(mega_ratios)))), 3)
             if mega_ratios
             else None
@@ -310,7 +296,7 @@ def compare_reports(
 ) -> tuple[bool, str]:
     """Regression gate: ``fresh`` vs a committed ``baseline`` report.
 
-    Compares each kernel's megablock-over-compiled ratio (both columns are
+    Compares each kernel's megablock-over-interp ratio (both columns are
     measured on the same host in the same run, so the ratio is stable where
     absolute milliseconds are not).  Kernels that fell back in either
     report are excluded from the geomean but still listed with their
@@ -334,26 +320,26 @@ def compare_reports(
             reason = f"fallback:{rec['megablock_fallback']}"
         elif base.get("megablock_fallback") is not None:
             reason = f"baseline-fallback:{base['megablock_fallback']}"
-        elif not base.get("megablock_over_compiled"):
+        elif not base.get("speedup_megablock"):
             reason = "no-baseline-ratio"
         if reason is not None:
             rows.append((
                 name,
-                base.get("megablock_over_compiled"),
-                rec.get("megablock_over_compiled"),
+                base.get("speedup_megablock"),
+                rec.get("speedup_megablock"),
                 None,
                 reason,
             ))
             continue
-        delta = rec["megablock_over_compiled"] / base["megablock_over_compiled"]
+        delta = rec["speedup_megablock"] / base["speedup_megablock"]
         deltas.append(delta)
         note = "ok" if delta >= threshold else "REGRESSED"
         if rec.get("megablock_megawarp") and not base.get("megablock_megawarp"):
             note += " (now megawarp)"
         rows.append((
             name,
-            base["megablock_over_compiled"],
-            rec["megablock_over_compiled"],
+            base["speedup_megablock"],
+            rec["speedup_megablock"],
             delta,
             note,
         ))
@@ -386,84 +372,6 @@ def compare_reports(
         + ("ok" if ok else "REGRESSED")
     )
     return ok, "\n".join(lines)
-
-
-def pool_compare_kernel(name: str, repeats: int, parallel: int) -> dict:
-    """Time one benchmark's parallel launch on both pool substrates.
-
-    Compares the supervised persistent pool (workers and their compile
-    caches stay warm across launches) against the legacy per-launch fork
-    (``pool_mode="fork"``).  The first persistent launch pays the pool
-    spawn cost, so each mode gets one untimed warm-up launch first.
-    """
-    from ..gpusim.resilience import ResilienceConfig
-
-    bench = BENCHMARKS[name]()
-    bench.run_baseline(backend="compiled", sample_blocks=1)
-    record: dict = {"parallel_workers": parallel}
-    times = {}
-    for mode in ("persistent", "fork"):
-        cfg = ResilienceConfig(pool_mode=mode)
-        bench.run_baseline(backend="compiled", parallel=parallel, resilience=cfg)
-        seconds, result = _time_launch(
-            bench, repeats, backend="compiled", parallel=parallel, resilience=cfg
-        )
-        times[mode] = seconds
-        record[f"{mode}_ms"] = round(seconds * 1e3, 3)
-        record[f"{mode}_fallback"] = result.parallel_fallback
-    record["fork_over_persistent"] = round(times["fork"] / times["persistent"], 3)
-    return record
-
-
-def run_pool_compare(
-    kernels: Sequence[str] = QUICK_KERNELS,
-    repeats: int = 3,
-    parallel: Optional[int] = None,
-) -> dict:
-    """Persistent-pool vs per-launch-fork comparison report.
-
-    ``fork_over_persistent > 1`` means the persistent pool is faster; the
-    CI smoke job asserts the geomean does not fall below parity (within
-    noise), i.e. keeping workers alive never costs throughput.
-    """
-    if parallel is None:
-        parallel = scheduler.resolve_workers("auto") if scheduler.available() else 0
-    if parallel < 2:
-        raise RuntimeError(
-            "--pool-compare needs a multi-CPU POSIX host (got "
-            f"{parallel} workers)"
-        )
-    records = {
-        name: pool_compare_kernel(name, repeats=repeats, parallel=parallel)
-        for name in kernels
-    }
-    ratios = [r["fork_over_persistent"] for r in records.values()]
-    return {
-        "config": {
-            "kernels": list(kernels),
-            "repeats": repeats,
-            "parallel": parallel,
-        },
-        "kernels": records,
-        "geomean_fork_over_persistent": round(
-            float(np.exp(np.mean(np.log(ratios)))), 3
-        ),
-    }
-
-
-def format_pool_compare(report: dict) -> str:
-    lines = [
-        f"{'kernel':6s} {'persistent ms':>14s} {'fork ms':>10s} {'fork/persist':>13s}"
-    ]
-    for name, rec in report["kernels"].items():
-        lines.append(
-            f"{name:6s} {rec['persistent_ms']:14.1f} {rec['fork_ms']:10.1f} "
-            f"{rec['fork_over_persistent']:12.2f}x"
-        )
-    lines.append(
-        f"geomean fork/persistent {report['geomean_fork_over_persistent']:.2f}x"
-    )
-    return "\n".join(lines)
 
 
 def _wire_args(bench) -> dict:
@@ -697,7 +605,7 @@ def format_report(report: dict, cache_stats: bool = False) -> str:
     column (np_transform ms next to the disk tier's hit/miss/store traffic
     for that kernel, straight from the JSON record)."""
     header = (
-        f"{'kernel':6s} {'interp ms':>10s} {'compiled ms':>12s} "
+        f"{'kernel':6s} {'interp ms':>10s} "
         f"{'megablock ms':>13s} {'mw':>4s} {'parallel ms':>12s} {'speedup':>8s}"
     )
     if cache_stats:
@@ -711,7 +619,7 @@ def format_report(report: dict, cache_stats: bool = False) -> str:
         # megawarp column: whole-grid flattened batch / per-block / fallback
         mw = {True: "yes", False: "blk"}.get(rec.get("megablock_megawarp"), "-")
         line = (
-            f"{name:6s} {rec['interp_ms']:10.1f} {rec['compiled_ms']:12.1f} "
+            f"{name:6s} {rec['interp_ms']:10.1f} "
             f"{mega:>13s} {mw:>4s} {par:>12s} {rec['speedup_best']:7.2f}x"
         )
         if cache_stats:
@@ -724,9 +632,9 @@ def format_report(report: dict, cache_stats: bool = False) -> str:
             xform_txt = f"{xform:.1f}" if xform is not None else "-"
             line += f" {xform_txt:>12s} {traffic:>12s}"
         lines.append(line)
-    mega_geo = report.get("geomean_megablock_over_compiled")
+    mega_geo = report.get("geomean_speedup_megablock")
     mega_txt = (
-        f"   megablock/compiled {mega_geo:.2f}x" if mega_geo is not None else ""
+        f"   interp/megablock {mega_geo:.2f}x" if mega_geo is not None else ""
     )
     lines.append(
         f"geomean {report['geomean_speedup']:.2f}x   "
@@ -751,9 +659,9 @@ def main(argv: Optional[list] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Wall-clock benchmark of the simulator's three engines "
-        "(interp, compiled, megablock) and, with --serve, of the kernel "
-        "server on its default engine.",
+        description="Wall-clock benchmark of the simulator's two engines "
+        "(interp, megablock) and, with --serve, of the kernel server on its "
+        "default engine.",
     )
     parser.add_argument(
         "--out", default="BENCH_gpusim.json", help="output JSON path"
@@ -834,16 +742,9 @@ def main(argv: Optional[list] = None) -> int:
         "payloads to exercise coalescing; 0 disables (default: %(default)s)",
     )
     parser.add_argument(
-        "--pool-compare",
-        action="store_true",
-        help="compare the persistent supervised worker pool against the "
-        "legacy per-launch fork on the parallel path (instead of the "
-        "backend benchmark)",
-    )
-    parser.add_argument(
         "--compare",
         action="store_true",
-        help="after benchmarking, gate the fresh megablock/compiled ratios "
+        help="after benchmarking, gate the fresh interp/megablock ratios "
         "against --baseline and exit 1 on regression",
     )
     parser.add_argument(
@@ -888,18 +789,6 @@ def main(argv: Optional[list] = None) -> int:
         print(f"wrote {out}")
         bad = [k for k, ok in report["verified_bit_identical"].items() if not ok]
         return 1 if bad or report["failures"] else 0
-
-    if args.pool_compare:
-        report = run_pool_compare(
-            kernels, repeats=repeats, parallel=args.parallel
-        )
-        out = args.out if args.out != "BENCH_gpusim.json" else "BENCH_pool.json"
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(format_pool_compare(report))
-        print(f"wrote {out}")
-        return 0
 
     report = run_bench(
         kernels, repeats=repeats, parallel=args.parallel, profile=args.profile

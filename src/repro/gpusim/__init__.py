@@ -7,7 +7,8 @@ The substrate that stands in for the paper's GTX 680 / K20c hardware:
 - :mod:`~repro.gpusim.coalescing` — transaction + bank-conflict models
 - :mod:`~repro.gpusim.cache` — functional L1 + analytical capacity model
 - :mod:`~repro.gpusim.interp` — warp-level interpreter (divergence masks)
-- :mod:`~repro.gpusim.compile` — closure-compiled execution engine + cache
+- :mod:`~repro.gpusim.megablock` — batched execution engine (the default)
+- :mod:`~repro.gpusim.compile` — lowering cache, digests, static analyses
 - :mod:`~repro.gpusim.diskcache` — persistent content-addressed cache tier
 - :mod:`~repro.gpusim.scheduler` — parallel block scheduler
 - :mod:`~repro.gpusim.pool` — supervised persistent worker pool
@@ -24,7 +25,6 @@ The substrate that stands in for the paper's GTX 680 / K20c hardware:
 """
 
 from .compile import (
-    CompiledKernel,
     CompileCacheStats,
     clear_compile_cache,
     compile_cache_stats,

@@ -30,7 +30,7 @@ from ..minicuda.nodes import Kernel, PointerType
 from ..minicuda.parser import parse_kernel
 from ..prof.counters import KernelProfile
 from . import scheduler
-from .compile import compile_kernel, kernel_uses_atomics
+from .compile import kernel_uses_atomics
 from .megablock import (
     MegaProfile,
     MegablockExecutor,
@@ -91,8 +91,9 @@ class LaunchResult:
     #: The exact (ascending, deduplicated) linear block IDs executed when
     #: ``sample_blocks`` sampled the grid; None for a full-grid launch.
     sampled_block_ids: Optional[tuple[int, ...]] = None
-    #: Execution engine that ran the launch: "megablock" (the default),
-    #: "compiled" or "interp" — see :func:`resolve_backend`.
+    #: Engine the launch resolved to: "megablock" (the default) or "interp"
+    #: — see :func:`resolve_backend`.  A megablock launch that ran per block
+    #: says so on :attr:`megablock_fallback`.
     backend: str = "megablock"
     #: Worker-process count when the parallel block scheduler ran this
     #: launch; None when blocks executed sequentially.
@@ -102,11 +103,11 @@ class LaunchResult:
     #: pool reason of :data:`ELIGIBILITY`, or "worker-fault" (a worker
     #: faulted and the launch reran sequentially).
     parallel_fallback: Optional[str] = None
-    #: Why a megablock launch ran per block on the compiled closures instead
-    #: of as one batch; None when it batched (or was never megablock).  A
-    #: batch reason of :data:`ELIGIBILITY`, or "sim-fault" (the batch raised,
-    #: global memory was restored from the launch snapshot, and the
-    #: per-block rerun reproduced the exact semantics).
+    #: Why a megablock launch ran per block on the reference interpreter
+    #: instead of as one batch; None when it batched (or was never
+    #: megablock).  A batch reason of :data:`ELIGIBILITY`, or "sim-fault"
+    #: (the batch raised, global memory was restored from the launch
+    #: snapshot, and the per-block rerun reproduced the exact semantics).
     megablock_fallback: Optional[str] = None
     #: Whether the batched megablock run folded the warp axis into the batch
     #: (megawarp: one ``(blocks × warps, lanes)`` stack, the only mode that
@@ -120,7 +121,7 @@ class LaunchResult:
     resilience: Optional[ResilienceTelemetry] = None
     #: Per-line/per-block hotspot counters, when the launch ran with
     #: ``profile=True`` (None otherwise).  Bit-identical between the
-    #: interp and compiled backends and between sequential and parallel
+    #: interp and megablock backends and between sequential and parallel
     #: scheduling.
     profile: Optional[KernelProfile] = None
     error: Optional[FaultReport] = None
@@ -172,7 +173,7 @@ class LaunchResult:
         return self.timing.milliseconds
 
 
-BACKENDS = ("interp", "compiled", "megablock")
+BACKENDS = ("interp", "megablock")
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
@@ -183,7 +184,7 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     )
     if name not in BACKENDS:
         raise ValueError(
-            f"backend must be 'interp', 'compiled' or 'megablock', got {name!r}"
+            f"backend must be 'interp' or 'megablock', got {name!r}"
         )
     return name
 
@@ -191,7 +192,7 @@ def resolve_backend(backend: Optional[str] = None) -> str:
 @dataclass(frozen=True)
 class LaunchFacts:
     """What :data:`ELIGIBILITY` reads about one launch.  The probes cost
-    work (``batch_atomics`` lowers the megablock program) or change state
+    work (``batch_atomics`` checks the megablock row layout) or change state
     (``breaker_allows`` counts a skip on an open breaker), so they are
     called at most once, and only when the table reaches their row."""
 
@@ -209,8 +210,10 @@ class LaunchFacts:
 #: refuses the megablock ``"batch"``, the worker ``"pool"``, or both; each
 #: takes the reason of the first row that refuses it and holds.  Every row
 #: that refuses the batch refuses the pool, so pooled megablock chunks batch.
+#: A refused batch runs per block on the reference interpreter.
 ELIGIBILITY = (
-    ("single-block", ("batch", "pool"), lambda f: f.blocks < 2),
+    # One block batches; it only has nothing to fan out.
+    ("single-block", ("pool",), lambda f: f.blocks < 2),
     ("trace", ("batch", "pool"), lambda f: f.trace),
     # Worker-fault-only injectors need no interpreter hooks: the pool
     # resolves their specs itself.
@@ -316,28 +319,29 @@ def launch(
     the launch — into :attr:`LaunchResult.sanitizer`.
 
     ``backend`` selects the engine: ``"megablock"`` (the batched engine of
-    :mod:`repro.gpusim.megablock`), ``"compiled"`` (closure-compiled, cached
-    across launches) or ``"interp"`` (the reference interpreter); ``None``
-    defers to ``GPUSIM_BACKEND``, defaulting to ``"megablock"``.  All three
-    produce bit-identical results.
+    :mod:`repro.gpusim.megablock`, lowered once per source and cached) or
+    ``"interp"`` (the reference interpreter); ``None`` defers to
+    ``GPUSIM_BACKEND``, defaulting to ``"megablock"``.  Both produce
+    bit-identical results.
 
     ``parallel`` fans independent blocks out to worker processes: an int
     worker count, ``True`` or ``"auto"`` for one per CPU (``None`` defers to
     ``GPUSIM_PARALLEL``).  :func:`plan_launch` decides batching and
     parallelism from :data:`ELIGIBILITY`; a refused launch runs per block,
     with the reason on :attr:`LaunchResult.megablock_fallback` /
-    :attr:`LaunchResult.parallel_fallback`.  A batch that raises restores
-    global memory and reruns per block (``"sim-fault"``) and a worker fault
-    reruns sequentially (``"worker-fault"``), so fault semantics stay exact.
+    :attr:`LaunchResult.parallel_fallback`.  A refused batch runs per block
+    on the reference interpreter.  A batch that raises restores global
+    memory and reruns per block (``"sim-fault"``) and a worker fault reruns
+    sequentially (``"worker-fault"``), so fault semantics stay exact.
 
     ``profile=True`` collects per-source-line hotspot counters and per-block
     cost records into :attr:`LaunchResult.profile` (see :mod:`repro.prof`),
     bit-identical across backends and sequential/parallel scheduling.
 
     ``resilience`` overrides the parallel path's
-    :class:`~repro.gpusim.resilience.ResilienceConfig` (pool mode, per-chunk
-    deadline, retry budget, breaker threshold); ``None`` reads the
-    ``GPUSIM_POOL`` / ``GPUSIM_LAUNCH_TIMEOUT`` / ``GPUSIM_MAX_RETRIES`` /
+    :class:`~repro.gpusim.resilience.ResilienceConfig` (per-chunk deadline,
+    retry budget, breaker threshold); ``None`` reads the
+    ``GPUSIM_LAUNCH_TIMEOUT`` / ``GPUSIM_MAX_RETRIES`` /
     ``GPUSIM_BREAKER_THRESHOLD`` knobs.  The degradation ladder (parallel →
     fewer workers → sequential) lands on :attr:`LaunchResult.resilience`; a
     tripped circuit breaker makes later launches fall back with
@@ -435,13 +439,13 @@ def launch(
         if faults is not None:
             faults.begin_launch(kernel.name, grid3, block3)
 
-        # --- compile / scaffold ---------------------------------------------
-        # Both are launch-invariant (the closure program is cached by source
-        # digest).  Megablock keeps the per-block closure program too: it is
-        # the exact-semantics engine a refused or faulted batch falls back to.
-        program = (
-            compile_kernel(kernel, profile=profile)
-            if backend_name != "interp" else None
+        # --- lower / scaffold -----------------------------------------------
+        # Both are launch-invariant; the megablock program is cached by source
+        # digest, looked up once here and shared by the plan's atomics probe
+        # and the executor.
+        mega = (
+            compile_megablock(kernel, profile=profile)
+            if backend_name == "megablock" else None
         )
         scaffold = WarpScaffold(kernel, block3, grid3)
 
@@ -470,9 +474,9 @@ def launch(
 
         # --- plan ------------------------------------------------------------
         def batch_atomics() -> bool:
-            mb = compile_megablock(kernel, profile=profile)
-            return mb.atomics_exact and megablock_flatten(
-                mb, scaffold.num_warps, bool(scaffold.shared_decls), synccheck
+            return mega.atomics_exact and megablock_flatten(
+                mega, scaffold.num_warps, bool(scaffold.shared_decls),
+                synccheck,
             )
 
         breaker = get_breaker()
@@ -482,7 +486,7 @@ def launch(
                 trace=trace,
                 faults=faults,
                 sanitizer=sanitizer is not None,
-                uses_atomics=(program.uses_atomics if program is not None
+                uses_atomics=(mega.uses_atomics if mega is not None
                               else kernel_uses_atomics(kernel)),
                 batch_atomics=batch_atomics,
                 scheduler_available=scheduler.available(),
@@ -495,7 +499,7 @@ def launch(
         parallel_fallback = plan.parallel_fallback
         if plan.workers >= 2 and parallel_fallback in (None, "breaker-open"):
             # The attempt reached the scheduler's gate: make it observable.
-            telemetry = ResilienceTelemetry(pool_mode=res_cfg.pool_mode)
+            telemetry = ResilienceTelemetry()
             if parallel_fallback == "breaker-open":
                 telemetry.breaker_state = breaker.state
                 telemetry.degraded = "sequential"
@@ -524,7 +528,6 @@ def launch(
                 synccheck=synccheck,
                 sanitizer=sanitizer,
                 scaffold=scaffold,
-                program=program,
                 profile=profile_obj,
             )
             executor.run()
@@ -548,12 +551,11 @@ def launch(
                 profile_kernel=kernel.name if profile else None,
             )
             outcome = scheduler.execute_blocks(
-                run_block,
+                spec,
                 block_ids,
                 gmem,
                 plan.workers,
                 profile=prof_obj,
-                spec=spec,
                 config=res_cfg,
                 telemetry=telemetry,
                 # The plan admits only worker-fault injectors to the pool.
@@ -575,11 +577,13 @@ def launch(
                 telemetry.degraded = "sequential"
         if not ran_parallel:
             ran_megablock = False
-            if plan.batched and parallel_fallback != "worker-fault":
+            if plan.batched:
                 # Batched execution is speculative: snapshot global memory,
                 # run the whole block axis at once, and on ANY SimError
-                # restore the snapshot and rerun per block — the rerun
-                # reproduces the exact located fault and semantics.
+                # restore the snapshot and rerun per block on the
+                # interpreter — the rerun reproduces the exact located fault
+                # and semantics.  After a worker fault parent memory is
+                # still pristine, so the sequential rerun batches too.
                 snapshot = {name: buf.data.copy() for name, buf in gmem.buffers().items()}
                 mb_stats = KernelStats()
                 mb_prof = (
@@ -590,8 +594,8 @@ def launch(
                 try:
                     mb_executor = MegablockExecutor(
                         kernel, block_ids, block3, grid3, base_env, mb_stats,
-                        compile_megablock(kernel, profile=profile),
-                        synccheck=synccheck, scaffold=scaffold, profile=mb_prof,
+                        mega, synccheck=synccheck, scaffold=scaffold,
+                        profile=mb_prof,
                     )
                     mb_executor.run()
                 except SimError:

@@ -1,22 +1,24 @@
 """Batch-vectorized "megablock" execution engine.
 
-The compiled backend (:mod:`repro.gpusim.compile`) removed per-statement
-dispatch but still runs blocks one at a time: every closure executes over a
-``(WARP_SIZE,)`` lane vector, once per block.  For independent blocks — the
-same condition the parallel scheduler already detects — that outer Python
-loop is pure overhead.  This module lowers the *block loop itself* into an
-ndarray axis: all blocks' lanes stack into ``(blocks, WARP_SIZE)`` arrays
-(one "mega-warp" per warp slot) and each statement closure runs exactly once
-for the entire batch.
+The reference interpreter (:mod:`repro.gpusim.interp`) walks the AST once per
+warp of every block.  For independent blocks — the same condition the
+parallel scheduler already detects — that outer per-block loop is pure
+overhead.  This module lowers a kernel *once* into a tree of specialized
+Python closures and turns the *block loop itself* into an ndarray axis: all
+blocks' lanes stack into ``(blocks, WARP_SIZE)`` arrays (one "mega-warp" per
+warp slot) and each statement closure runs exactly once for the entire
+batch.  Operator dispatch, index-chain resolution, dtype coercion and stat
+weights are resolved at lowering time; the numeric helpers shared with the
+lowering cache live in :mod:`repro.gpusim.compile`.
 
-The lowering here is a statement-for-statement mirror of ``compile.py`` with
-a leading block axis:
+The lowering reproduces the interpreter's per-block semantics with a
+leading block axis:
 
 * **Masks** are ``(blocks, lanes)``; a block whose row goes empty simply
   stops contributing — loops keep running until *no* block has active lanes,
   and every cost hook scales by the number of non-empty rows so counters
-  stay bit-identical to the per-block engines.
-* **Stats** that the per-block engine bumps by a constant per execution
+  stay bit-identical to the per-block interpreter.
+* **Stats** that the interpreter bumps by a constant per execution
   (``alu_insts += w``, ``global_load_insts += 1`` …) become ``+= w * rows``
   where ``rows`` counts blocks with at least one active lane.  Per-block
   execution never runs a statement under an empty mask, so ``rows`` is
@@ -29,7 +31,7 @@ a leading block axis:
 * **Shared/local memory** materializes as one ``(blocks, …)`` slab per
   declaration (:class:`~repro.gpusim.memory.BatchedSharedArray` /
   ``BatchedLocalArray``) with the same per-block byte addressing, so replay
-  and transaction accounting match the per-block engines bit-for-bit.
+  and transaction accounting match the per-block interpreter bit-for-bit.
 * **Barriers** keep the generator yield protocol: one stacked generator per
   mega-warp, round-robined exactly like ``BlockExecutor._run_block``.
 * **Megawarp flattening** (:func:`megablock_flatten`) goes one step
@@ -53,13 +55,13 @@ Batching is *speculative*: anything the batched semantics cannot reproduce
 exactly — block-varying shuffle widths, order-sensitive atomics, any
 ``SimError`` raised mid-batch — aborts the whole megablock run, and the
 launcher restores the pre-launch global-memory snapshot and re-runs per
-block with the compiled engine.  A spurious batched fault therefore costs
+block on the reference interpreter.  A spurious batched fault therefore costs
 only time, never correctness, and real faults surface with their exact
 per-block diagnostics.
 
-Compiled megablock artifacts live in the same digest-keyed LRU as the
-per-block artifacts under ``#mb`` / ``#mb#prof`` key suffixes
-(:func:`compile_megablock`).
+Lowered kernels live in the digest-keyed LRU of :mod:`repro.gpusim.compile`
+(:func:`compile_megablock`), profiled lowerings under a ``#prof`` key
+suffix.
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ from ..minicuda.nodes import (
     Unary,
     VarDecl,
     While,
+    walk,
 )
 from ..prof.counters import KernelProfile, LineCounters, _line_of
 from .compile import (
@@ -153,13 +156,14 @@ _I64_MAX = np.iinfo(np.int64).max
 # ---------------------------------------------------------------------------
 # Per-row batched stat reductions
 #
-# Each mirrors one per-block scalar from compile.py's fast path, computed for
-# every row of the batch at once.  Rows with no active lanes reduce to zero.
+# Each mirrors one per-block scalar of :mod:`repro.gpusim.coalescing`,
+# computed for every row of the batch at once.  Rows with no active lanes
+# reduce to zero.
 # ---------------------------------------------------------------------------
 
 
 def _batch_txns(byte_addrs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Distinct 128-byte segments per row (``_fast_txns`` per block)."""
+    """Distinct 128-byte segments per row (``transactions_for`` per block)."""
     segs = np.where(mask, byte_addrs // 128, _I64_MAX)  # fresh, writable
     segs.sort(axis=1)
     row_any = segs[:, 0] != _I64_MAX
@@ -173,7 +177,7 @@ def _batch_global_stats(
     elem_bytes: int,
     active_rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ``(transactions, uncoalesced)`` — ``_fast_global_stats``.
+    """Per-row ``(transactions, not is_fully_coalesced)``.
 
     ``active * elem_bytes`` is at most 256, so the integer ceiling equals the
     per-block float ``np.ceil`` exactly.  Empty rows: 0 transactions,
@@ -187,8 +191,8 @@ def _batch_global_stats(
 
 
 def _batch_bank_replays(byte_addrs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Worst-bank replay count per row (``_fast_bank_replays`` per block):
-    distinct 4-byte words per bank, worst bank sets the pass count."""
+    """Worst-bank replay count per row (``bank_conflict_replays`` per
+    block): distinct 4-byte words per bank, worst bank sets the pass count."""
     words = np.where(mask, byte_addrs // 4, _I64_MAX)
     words.sort(axis=1)
     valid = words != _I64_MAX
@@ -420,7 +424,7 @@ def _mb_tex_load(tex, idx, mask) -> np.ndarray:
 # Batched shuffles
 #
 # Shuffle width (and shfl_up/down delta) is a per-warp scalar in the
-# per-block engines (``int(arr[0])``).  When the batched operand varies by
+# per-block interpreter (``int(arr[0])``).  When the batched operand varies by
 # block the batch cannot express it in one gather — abort to the fallback.
 # ---------------------------------------------------------------------------
 
@@ -464,7 +468,7 @@ def _mb_shfl_shift(values, delta: int, lane_size: int, down: bool) -> np.ndarray
 class MegaProfile:
     """Accumulates batched profile counters, then reduces them into a
     :class:`~repro.prof.counters.KernelProfile` identical to what the
-    per-block engines would have produced for the same blocks.
+    per-block interpreter would have produced for the same blocks.
 
     Line counters take the already-reduced row counts directly; the only
     per-block state a profile carries — ``BlockCost.inst_issues`` and
@@ -659,7 +663,7 @@ class MegaContext:
 
     def rows(self, mask: np.ndarray) -> int:
         """How many blocks have at least one active lane — exactly the
-        number of blocks the per-block engine would run this statement for
+        number of blocks the interpreter would run this statement for
         (it never executes a statement under an empty mask)."""
         if mask is not self._rows_key:
             self.rows_any(mask)
@@ -667,8 +671,8 @@ class MegaContext:
 
 
 # ---------------------------------------------------------------------------
-# Batched memory access (mirrors compile._fast_load_object/_fast_store_object
-# minus the injector/trace/sanitizer hooks — those launches are ineligible)
+# Batched memory access (mirrors interp's load/store helpers minus the
+# injector/trace/sanitizer hooks — those launches are ineligible)
 # ---------------------------------------------------------------------------
 
 
@@ -798,7 +802,7 @@ def _mb_store_object(
 
 
 # ---------------------------------------------------------------------------
-# Expression lowering (mirrors compile.py; stat bumps scale by active rows)
+# Expression lowering (mirrors interp.py; stat bumps scale by active rows)
 # ---------------------------------------------------------------------------
 
 
@@ -1041,7 +1045,7 @@ def _mb_call(expr: Call) -> ExprFn:
 def mb_expr(expr: Expr) -> ExprFn:
     """Lower one expression to a batched closure ``fn(ctx, mask)``.
 
-    Literals and name lookups reuse the per-block lowerers: their
+    Literals and name lookups use the lane-vector lowerers: their
     ``(WARP_SIZE,)`` results broadcast against ``(blocks, WARP_SIZE)``
     operands, which is exactly the block-invariant semantics.
     """
@@ -1390,9 +1394,8 @@ def _mb_if(stmt: If) -> tuple[StmtFn, bool]:
 
 
 def _mb_has_flow(block: Block) -> bool:
-    from .compile import _has_flow
-
-    return _has_flow(block)
+    """Whether the loop body can park lanes via break/continue/return."""
+    return any(isinstance(n, (Break, Continue, Return)) for n in walk(block))
 
 
 def _mb_for(stmt: For) -> tuple[StmtFn, bool]:
@@ -1592,13 +1595,13 @@ def _mb_while(stmt: While) -> tuple[StmtFn, bool]:
     return gen_while, True
 
 
-#: Same module-flag scheme as compile._PROFILE_LOWERING (lowering is
-#: synchronous and single-threaded).
+#: Set while lowering with ``profile=True`` (lowering is synchronous and
+#: single-threaded).
 _MB_PROFILE_LOWERING = False
 
 
 def _mb_wrap_profiled(fn: StmtFn, is_gen: bool, line: int) -> StmtFn:
-    """Batched twin of compile._wrap_profiled: one hook per statement
+    """Per-line profile hook around a statement closure: one hook per statement
     execution carrying the row count, total active lanes and the per-row
     activity vector (for BlockCost.inst_issues)."""
     if is_gen:
@@ -1770,7 +1773,7 @@ def mb_block(block: Block) -> tuple[StmtFn, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Compiled megablock kernels and the (shared) compile cache
+# Lowered megablock kernels and the lowering cache
 # ---------------------------------------------------------------------------
 
 
@@ -1856,12 +1859,17 @@ def megablock_flatten(
 def compile_megablock(
     kernel: Kernel, cache: bool = True, profile: bool = False
 ) -> MegaKernel:
-    """Lower ``kernel`` to batched closures; artifacts share the per-block
-    LRU under ``#mb`` / ``#mb#prof`` key suffixes."""
+    """Lower ``kernel`` to batched closures, reusing the digest-keyed LRU.
+
+    Two structurally identical kernels (same pretty-printed source, including
+    ``#define`` constants) share one artifact.  ``profile=True`` lowers with
+    the per-line issue hooks under a separate ``#prof`` key, so profiled
+    artifacts never slow down non-profiled launches.
+    """
     digest = kernel_digest(kernel) if cache else None
     if digest is None:
         return _mb_lower(kernel, None, profile)
-    key = digest + ("#mb#prof" if profile else "#mb")
+    key = digest + "#prof" if profile else digest
     cached = _cache_get(key)
     if cached is not None:
         return cached

@@ -1,15 +1,14 @@
 """Supervised persistent worker pool for the parallel block scheduler.
 
-The original scheduler forked a throwaway ``multiprocessing.Pool`` per
-launch and called ``pool.map`` with no timeout: a hung or SIGKILLed worker
-deadlocked the launch forever, and one failed chunk discarded every
-completed chunk.  This module replaces that with a *supervised, persistent*
-runtime:
+A throwaway ``multiprocessing.Pool`` per launch, collected with
+``pool.map`` and no timeout, deadlocks the launch forever on a hung or
+SIGKILLed worker, and one failed chunk discards every completed chunk.  This
+module is the *supervised, persistent* runtime instead:
 
 - **Long-lived workers.**  Workers are forked once and survive across
   launches; per-launch work arrives over a per-worker duplex pipe as a
   picklable :class:`LaunchSpec` broadcast followed by chunk messages.  Each
-  worker keeps its own closure-compile cache warm across launches, so a hot
+  worker keeps its own lowering cache warm across launches, so a hot
   serving loop stops paying the per-launch fork *and* the per-process
   lowering cost.
 - **Health checking.**  Every worker runs a daemon heartbeat thread that
@@ -83,8 +82,9 @@ class LaunchSpec:
     """Everything a worker needs to rebuild one launch's execution state.
 
     Shipped (pickled) over the worker pipe once per launch; deliberately
-    contains no closures — the worker recompiles the kernel through its own
-    process-local LRU (warm across launches) and rebuilds the warp scaffold.
+    contains no closures — a megablock worker lowers the kernel through its
+    own process-local LRU (warm across launches) and every worker rebuilds
+    the warp scaffold.
     """
 
     kernel: object                      # minicuda Kernel AST
@@ -102,7 +102,6 @@ class _WorkerState:
     """Worker-side execution state rebuilt from a :class:`LaunchSpec`."""
 
     def __init__(self, spec: LaunchSpec):
-        from .compile import compile_kernel
         from .interp import BlockExecutor, WarpScaffold
         from .megablock import MegaProfile, MegablockExecutor, compile_megablock
 
@@ -116,11 +115,6 @@ class _WorkerState:
             self.base_env[name] = buf
         for cname, arr in spec.const_arrays.items():
             self.base_env[cname] = ConstArray(cname, np.asarray(arr))
-        self.program = (
-            compile_kernel(spec.kernel, profile=spec.profile_kernel is not None)
-            if spec.backend == "compiled"
-            else None
-        )
         # Megablock chunks batch the whole chunk's block axis through one
         # executor — which flattens the chunk's (blocks, warps) pair into a
         # single megawarp row axis when the kernel allows it, same rule as
@@ -128,8 +122,7 @@ class _WorkerState:
         # atomic reaching the flat path; the launch ladder diverts those to
         # "atomic-order"/"atomics" before any pool is engaged) restores
         # pristine state and aborts the parallel attempt (exact semantics
-        # come from the sequential rerun), so no per-block program is
-        # needed alongside.
+        # come from the sequential rerun).  Interp chunks run block by block.
         self.mega_program = (
             compile_megablock(spec.kernel, profile=spec.profile_kernel is not None)
             if spec.backend == "megablock"
@@ -205,7 +198,6 @@ class _WorkerState:
                         synccheck=spec.synccheck,
                         sanitizer=None,
                         scaffold=self.scaffold,
-                        program=self.program,
                         profile=prof,
                     )
                     executor.run()
@@ -502,7 +494,7 @@ class WorkerPool:
         """Run ``chunks`` across the pool; None means "rerun sequentially".
 
         Parent memory (``gmem``) is only mutated on success, after every
-        chunk's write-set arrived — exactly the legacy contract.
+        chunk's write-set arrived, so a None result leaves it pristine.
         """
         with self._lock:
             try:
@@ -521,7 +513,6 @@ class WorkerPool:
         self._seq += 1
         seq = self._seq
         want = min(workers, len(chunks))
-        telemetry.pool_mode = "persistent"
         telemetry.workers = want
         telemetry.chunks = len(chunks)
         self.ensure_workers(want, config, telemetry)
@@ -811,7 +802,6 @@ class WorkerPool:
         self._seq += 1
         seq = self._seq
         want = max(min(workers, len(payloads)), 1)
-        telemetry.pool_mode = "persistent"
         telemetry.workers = want
         telemetry.chunks = len(payloads)
         self.ensure_workers(want, config, telemetry)

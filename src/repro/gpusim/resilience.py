@@ -6,8 +6,8 @@ policy, factored out so the scheduler, the launch API, and the tests all
 agree on it:
 
 - :class:`ResilienceConfig` — every knob in one place, with environment
-  fallbacks (``GPUSIM_POOL``, ``GPUSIM_LAUNCH_TIMEOUT``,
-  ``GPUSIM_MAX_RETRIES``, ``GPUSIM_BREAKER_THRESHOLD``);
+  fallbacks (``GPUSIM_LAUNCH_TIMEOUT``, ``GPUSIM_MAX_RETRIES``,
+  ``GPUSIM_BREAKER_THRESHOLD``);
 - :func:`jittered_backoff` — deterministic (seeded) exponential backoff for
   chunk re-dispatch, so retry storms cannot synchronize;
 - :class:`CircuitBreaker` — a per-process closed → open → half-open state
@@ -65,20 +65,12 @@ def _env_int(name: str) -> Optional[int]:
 class ResilienceConfig:
     """Every resilience knob for one launch.
 
-    ``pool_mode`` selects the parallel execution substrate: ``"persistent"``
-    (the supervised worker pool of :mod:`repro.gpusim.pool`, the default) or
-    ``"fork"`` (the legacy per-launch ``multiprocessing.Pool``, kept as a
-    comparison baseline for ``repro.bench --pool-compare``).
-
-    ``launch_timeout`` bounds the legacy path's *whole* result collection
-    (``None`` = unbounded, the tier-1 default, because a deadline makes test
-    outcomes depend on host load).  The persistent pool is always bounded:
-    ``chunk_timeout`` is the per-chunk deadline its watchdog enforces by
-    killing and replacing the hung worker (defaults to ``launch_timeout``
-    when that is set, else 60 s).
+    The supervised pool is always bounded: ``chunk_timeout`` is the
+    per-chunk deadline its watchdog enforces by killing and replacing the
+    hung worker.  It defaults to ``launch_timeout`` when that is set, else
+    60 s.
     """
 
-    pool_mode: str = "persistent"
     launch_timeout: Optional[float] = None
     chunk_timeout: Optional[float] = None
     max_retries: int = 2
@@ -93,10 +85,6 @@ class ResilienceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.pool_mode not in ("persistent", "fork"):
-            raise ValueError(
-                f"pool_mode must be 'persistent' or 'fork', got {self.pool_mode!r}"
-            )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.breaker_threshold < 1:
@@ -115,10 +103,7 @@ class ResilienceConfig:
     @classmethod
     def from_env(cls) -> "ResilienceConfig":
         """Build a config from the ``GPUSIM_*`` environment knobs."""
-        cfg = cls(
-            pool_mode=os.environ.get("GPUSIM_POOL", "persistent") or "persistent",
-            launch_timeout=_env_float("GPUSIM_LAUNCH_TIMEOUT"),
-        )
+        cfg = cls(launch_timeout=_env_float("GPUSIM_LAUNCH_TIMEOUT"))
         retries = _env_int("GPUSIM_MAX_RETRIES")
         if retries is not None:
             cfg = replace(cfg, max_retries=retries)
@@ -160,7 +145,6 @@ class ResilienceTelemetry:
     produced the result).
     """
 
-    pool_mode: str = "persistent"
     workers: int = 0
     chunks: int = 0
     attempts: int = 0
@@ -190,7 +174,7 @@ class ResilienceTelemetry:
 
     def summary(self) -> str:
         parts = [
-            f"pool={self.pool_mode}", f"workers={self.workers}",
+            f"workers={self.workers}",
             f"attempts={self.attempts}", f"retries={self.retries}",
             f"deadline_kills={self.deadline_kills}",
             f"crashes={self.worker_crashes}",

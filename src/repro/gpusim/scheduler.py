@@ -17,18 +17,11 @@ keeps results bit-identical to the sequential path:
   merging an identical value is harmless — and NaN compares unequal to
   itself, so NaN writes are always treated as changed.)
 
-Two execution substrates implement that contract (selected by
-``ResilienceConfig.pool_mode`` / the ``GPUSIM_POOL`` environment knob):
-
-* ``"persistent"`` (default) — the supervised worker pool of
-  :mod:`repro.gpusim.pool`: long-lived heartbeated workers, per-chunk
-  deadlines, bounded chunk-level retry, and graceful degradation, all
-  recorded on :class:`~repro.gpusim.resilience.ResilienceTelemetry`.
-* ``"fork"`` — the legacy per-launch ``multiprocessing.Pool``, kept as the
-  comparison baseline for ``repro.bench --pool-compare``.  Result
-  collection is bounded by ``GPUSIM_LAUNCH_TIMEOUT`` (off by default): on
-  expiry the launch raises a located :class:`LaunchError` naming the stuck
-  chunks and worker pids instead of blocking forever.
+The substrate is the supervised worker pool of :mod:`repro.gpusim.pool`:
+long-lived heartbeated workers, per-chunk deadlines, bounded chunk-level
+retry, and graceful degradation, all recorded on
+:class:`~repro.gpusim.resilience.ResilienceTelemetry`.  Megablock chunks
+batch their blocks; interp chunks run block by block.
 
 A worker that hits a simulator fault makes the scheduler return ``None``:
 the caller reruns the launch sequentially against the untouched parent
@@ -39,31 +32,15 @@ those of the sequential path.
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.pool
 import os
-import time
-from typing import Callable, List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ..prof.counters import KernelProfile
 from . import pool as pool_mod
-from .diagnostics import FaultContext
-from .errors import LaunchError, SimError
+from .errors import LaunchError
 from .memory import GlobalMemory
 from .pool import LaunchSpec, ParallelOutcome  # re-exported for callers
 from .resilience import ResilienceConfig, ResilienceTelemetry
-from .stats import KernelStats
-
-#: ``run_block(linear_block, stats, profile) -> shared_bytes`` — supplied by
-#: launch().  ``profile`` is a :class:`KernelProfile` or None.
-RunBlock = Callable[[int, KernelStats, Optional[KernelProfile]], int]
-
-#: Work shared with legacy-mode forked workers (set in the parent just before
-#: the pool forks; workers inherit it through copy-on-write memory).  Slots:
-#: run_block, global memory, profiled kernel name (or None), and a
-#: ``{chunk_index: (kind, delay)}`` map of injected worker-fault directives.
-_WORK: Optional[tuple] = None
 
 
 def available() -> bool:
@@ -112,178 +89,18 @@ def chunk_blocks(block_ids: Sequence[int], workers: int) -> list[list[int]]:
     return out
 
 
-def _run_chunk(item):
-    index, chunk = item
-    assert _WORK is not None
-    run_block, gmem, profile_kernel, fault_directives = _WORK
-    directive = fault_directives.get(index)
-    if directive is not None:
-        kind, delay = directive
-        if kind == "worker_crash":
-            os._exit(pool_mod.CRASH_EXIT_CODE)
-        elif kind == "worker_hang":
-            while True:
-                time.sleep(60.0)
-        elif kind == "worker_slow":
-            time.sleep(delay)
-    buffers = gmem.buffers()
-    before = {name: buf.data.copy() for name, buf in buffers.items()}
-    stats = KernelStats()
-    profile = (
-        KernelProfile(kernel=profile_kernel) if profile_kernel is not None else None
-    )
-    shared_bytes = 0
-    try:
-        for linear in chunk:
-            shared_bytes = run_block(linear, stats, profile)
-    except SimError:
-        # Caller reruns sequentially for exact fault semantics.
-        return {"index": index, "error": True}
-    writes = {}
-    for name, buf in buffers.items():
-        with np.errstate(invalid="ignore"):
-            changed = buf.data != before[name]
-        if changed.any():
-            idx = np.nonzero(changed)[0]
-            writes[name] = (idx, buf.data[idx])
-            # Restore pristine contents: legacy pool workers run several
-            # chunks in one process, and each chunk's write-set must be
-            # computed against the launch-entry state for the ascending
-            # merge to reproduce sequential last-writer-wins exactly.
-            buf.data[idx] = before[name][idx]
-    return {
-        "index": index,
-        "error": False,
-        "stats": stats,
-        "profile": profile,
-        "writes": writes,
-        "shared_bytes": shared_bytes,
-        "executed": len(chunk),
-    }
-
-
-def _collect_with_deadline(
-    pool: multiprocessing.pool.Pool,
-    items: list,
-    deadline: Optional[float],
-    kernel_name: str,
-) -> List[dict]:
-    """Gather legacy-pool chunk results, bounded by ``deadline`` seconds.
-
-    Uses ``imap_unordered`` so progress is observable per chunk; on expiry
-    the outstanding chunk indices and the pool's worker pids are named in a
-    located :class:`LaunchError` — the launch must never block forever.
-    """
-    if deadline is None:
-        return pool.map(_run_chunk, items)
-    results: List[dict] = []
-    expected = {index for index, _ in items}
-    t_end = time.monotonic() + deadline
-    iterator = pool.imap_unordered(_run_chunk, items)
-    for _ in range(len(items)):
-        remaining = t_end - time.monotonic()
-        try:
-            results.append(iterator.next(timeout=max(remaining, 0.001)))
-        except multiprocessing.TimeoutError:
-            done = {r["index"] for r in results}
-            stuck = sorted(expected - done)
-            pids = sorted(
-                p.pid for p in getattr(pool, "_pool", []) if p.is_alive()
-            )
-            raise LaunchError(
-                f"parallel launch exceeded GPUSIM_LAUNCH_TIMEOUT={deadline:g}s: "
-                f"{len(stuck)} chunk(s) stuck (chunk indices {stuck}), "
-                f"worker pid(s) {pids}",
-                ctx=FaultContext(kernel=kernel_name),
-            ) from None
-    return results
-
-
-def _execute_blocks_fork(
-    run_block: RunBlock,
-    block_ids: Sequence[int],
-    gmem: GlobalMemory,
-    workers: int,
-    profile: Optional[KernelProfile],
-    config: ResilienceConfig,
-    telemetry: Optional[ResilienceTelemetry],
-    kernel_name: str,
-    injector=None,
-) -> Optional[ParallelOutcome]:
-    """Legacy per-launch fork substrate (``pool_mode="fork"``)."""
-    global _WORK
-    chunks = chunk_blocks(block_ids, workers)
-    items = list(enumerate(chunks))
-    # Resolve injected worker faults up front (deterministic: ascending
-    # chunk order; the per-launch pool gives no redispatch opportunity).
-    fault_directives = {}
-    if injector is not None:
-        for index, chunk in items:
-            directive = injector.poll_worker_fault(kernel_name, index, chunk)
-            if directive is not None:
-                fault_directives[index] = directive
-    ctx = multiprocessing.get_context("fork")
-    if _WORK is not None:
-        # A concurrent or nested execute_blocks would silently clobber the
-        # other launch's work tuple and corrupt both result sets.
-        raise LaunchError(
-            "execute_blocks is not reentrant: another parallel launch is "
-            "already in flight in this process (use the persistent pool — "
-            "GPUSIM_POOL=persistent — for concurrent streams)"
-        )
-    prev = _WORK
-    _WORK = (run_block, gmem, profile.kernel if profile is not None else None,
-             fault_directives)
-    if telemetry is not None:
-        telemetry.pool_mode = "fork"
-        telemetry.workers = min(workers, len(chunks))
-        telemetry.chunks = len(chunks)
-        telemetry.attempts = len(chunks)
-    try:
-        with ctx.Pool(processes=min(workers, len(chunks))) as pool:
-            results = _collect_with_deadline(
-                pool, items, config.launch_timeout, kernel_name
-            )
-    finally:
-        _WORK = prev
-    if any(r["error"] for r in results):
-        if telemetry is not None:
-            telemetry.sim_faults += 1
-            telemetry.degraded = "sequential"
-            telemetry.record("degrade-sequential", "simulator fault in worker")
-        return None
-    results.sort(key=lambda r: r["index"])
-    stats = KernelStats()
-    shared_bytes = 0
-    executed = 0
-    for r in results:
-        stats.merge(r["stats"])
-        if profile is not None and r["profile"] is not None:
-            profile.merge(r["profile"])
-        executed += r["executed"]
-        shared_bytes = r["shared_bytes"]
-        for name, (idx, values) in r["writes"].items():
-            gmem[name].data[idx] = values
-    return ParallelOutcome(
-        stats=stats,
-        executed=executed,
-        shared_bytes=shared_bytes,
-        workers=min(workers, len(chunks)),
-    )
-
-
 def execute_blocks(
-    run_block: RunBlock,
+    spec: LaunchSpec,
     block_ids: Sequence[int],
     gmem: GlobalMemory,
     workers: int,
     profile: Optional[KernelProfile] = None,
-    spec: Optional[LaunchSpec] = None,
     config: Optional[ResilienceConfig] = None,
     telemetry: Optional[ResilienceTelemetry] = None,
     injector=None,
 ) -> Optional[ParallelOutcome]:
-    """Run ``block_ids`` across ``workers`` processes.
+    """Run ``block_ids`` of the launch ``spec`` across ``workers`` pool
+    processes.
 
     Returns ``None`` when the parallel attempt must be abandoned (simulator
     fault, retries exhausted, no surviving workers) — parent memory is then
@@ -292,26 +109,13 @@ def execute_blocks(
     and the returned stats object; when ``profile`` is given, each worker
     collects a chunk-local :class:`KernelProfile` and those merge (integer
     sums, so exactly) into ``profile`` in the same ascending order.
-
-    ``spec`` (a picklable :class:`~repro.gpusim.pool.LaunchSpec`) enables
-    the persistent supervised pool; without it — or with
-    ``config.pool_mode == "fork"`` — the legacy per-launch fork substrate
-    runs.  ``telemetry`` (when given) receives the resilience counters and
-    lifecycle events of whichever substrate ran.
+    ``telemetry`` (when given) receives the resilience counters and
+    lifecycle events.
     """
     config = config if config is not None else ResilienceConfig.from_env()
-    kernel_name = spec.kernel.name if spec is not None else (
-        profile.kernel if profile is not None else "?"
-    )
-    if spec is not None and config.pool_mode == "persistent":
-        if telemetry is None:
-            telemetry = ResilienceTelemetry()
-        chunks = chunk_blocks(block_ids, workers)
-        return pool_mod.get_pool().run_launch(
-            spec, chunks, gmem, workers, config, telemetry,
-            profile=profile, injector=injector,
-        )
-    return _execute_blocks_fork(
-        run_block, block_ids, gmem, workers, profile, config, telemetry,
-        kernel_name, injector=injector,
+    if telemetry is None:
+        telemetry = ResilienceTelemetry()
+    return pool_mod.get_pool().run_launch(
+        spec, chunk_blocks(block_ids, workers), gmem, workers, config,
+        telemetry, profile=profile, injector=injector,
     )

@@ -29,10 +29,8 @@ any future that could not run (a racing enqueue that lost to ``close()``)
 is fulfilled with a located :class:`~repro.gpusim.errors.LaunchError`
 instead of leaving ``result()`` to block forever.
 
-Parallel block execution from multiple concurrent streams requires the
-persistent supervised pool (the default ``GPUSIM_POOL=persistent``); the
-legacy per-launch fork substrate is single-flight and raises a located
-:class:`~repro.gpusim.errors.LaunchError` if two launches overlap.
+Parallel block execution from multiple concurrent streams shares the
+persistent supervised pool of :mod:`repro.gpusim.pool`.
 """
 
 from __future__ import annotations

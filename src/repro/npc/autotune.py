@@ -467,7 +467,7 @@ def autotune(
     fault injector silently degrades the search to sequential.
 
     ``backend`` is forwarded to every launch (baseline and variants), so
-    the whole search can run on the closure-compiled or megablock engine;
+    the whole search can run on the megablock or interp engine;
     repeated searches share the variant compile cache (see
     :func:`repro.npc.pipeline.variant_cache_stats`) and, when the disk tier
     is active, its cross-process ``variant`` namespace.
@@ -580,7 +580,7 @@ def autotune(
         and (faults is None or faults.worker_only())
     ):
         res_cfg = resilience if resilience is not None else ResilienceConfig.from_env()
-        telemetry = ResilienceTelemetry(pool_mode=res_cfg.pool_mode)
+        telemetry = ResilienceTelemetry()
         breaker = get_breaker()
         if not breaker.allow(res_cfg):
             telemetry.breaker_state = breaker.state

@@ -11,9 +11,9 @@ Subcommands:
     hotspot report.
 
 ``diff``
-    Profile the same benchmark on *both* execution backends and diff the
-    per-line counters; exits non-zero on any mismatch (the CI profiler
-    smoke job runs this).
+    Profile the same benchmark on the ``interp`` reference and on
+    ``megablock`` and diff the per-line counters; exits non-zero on any
+    mismatch (the CI profiler smoke job runs this).
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import sys
 from typing import Optional
 
 
-def _profiled_launch(name: str, backend: str, parallel: Optional[int]):
+def _profiled_launch(
+    name: str, backend: Optional[str], parallel: Optional[int]
+):
     from ..kernels import BENCHMARKS
 
     bench = BENCHMARKS[name]()
@@ -35,6 +37,7 @@ def _profiled_launch(name: str, backend: str, parallel: Optional[int]):
 
 
 def main(argv: Optional[list] = None) -> int:
+    from ..gpusim.launch import BACKENDS
     from ..kernels import BENCHMARKS
 
     parser = argparse.ArgumentParser(
@@ -53,9 +56,9 @@ def main(argv: Optional[list] = None) -> int:
         )
         p.add_argument(
             "--backend",
-            default="compiled",
-            choices=("interp", "compiled"),
-            help="execution backend (default: compiled)",
+            default=None,
+            choices=BACKENDS,
+            help="execution backend (default: the one launch() runs)",
         )
         p.add_argument(
             "--parallel",
@@ -111,7 +114,7 @@ def main(argv: Optional[list] = None) -> int:
 
     # diff: the CI profiler smoke — both backends must agree bit-for-bit.
     _, ref = _profiled_launch(args.benchmark, "interp", args.parallel)
-    _, got = _profiled_launch(args.benchmark, "compiled", args.parallel)
+    _, got = _profiled_launch(args.benchmark, "megablock", args.parallel)
     mismatches = ref.profile.diff_lines(got.profile)
     if mismatches:
         print(

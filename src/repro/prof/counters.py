@@ -1,12 +1,12 @@
 """Per-source-line hotspot counters and per-block cost records.
 
 This module is deliberately free of ``repro.gpusim`` imports: the
-launcher, interpreter, compiled backend and scheduler all import it, so
+launcher, interpreter, megablock backend and scheduler all import it, so
 it must sit below them in the dependency graph.  The hook methods on
 :class:`KernelProfile` are called from the warp-execution hot paths of
 *both* backends at mirrored sites (statement entry, memory accesses,
 intrinsic calls, barriers), which is what makes profiles bit-identical
-between ``interp`` and ``compiled`` by construction: both backends key
+between ``interp`` and ``megablock`` by construction: both backends key
 attribution off the same ``ctx.current_loc`` bookkeeping that the fault
 diagnostics already maintain.
 

@@ -13,7 +13,7 @@ A launch request is one JSON object::
       },
       "const_arrays": { ... same encoding ... },   # optional
       "options": {                                  # all optional
-        "backend": "megablock",           # default; or compiled | interp
+        "backend": "megablock",           # default; or interp
         "parallel": 2,                    # worker count for the pool path
         "profile": true,                  # per-line counters in response
         "deadline_ms": 2000               # per-request completion deadline
@@ -229,7 +229,6 @@ def _resilience_summary(telemetry) -> Optional[dict]:
     if telemetry is None:
         return None
     return {
-        "pool_mode": telemetry.pool_mode,
         "workers": telemetry.workers,
         "chunks": telemetry.chunks,
         "attempts": telemetry.attempts,

@@ -37,7 +37,7 @@ from ..gpusim.launch import run_kernel
 __all__ = ["FuzzKernel", "generate", "check", "minimize", "BACKENDS"]
 
 #: Engines compared against the ``interp`` reference.
-BACKENDS = ("compiled", "megablock")
+BACKENDS = ("megablock",)
 
 #: Sizes of the two small buffers shared by atomic chunks.
 _FACC = 8

@@ -1,21 +1,23 @@
-"""Differential check of the three execution backends.
+"""Differential check of the two execution backends.
 
-The tree-walking interpreter is the reference semantics; the closure-compiled
-engine (:mod:`repro.gpusim.compile`) and the batch-vectorized megablock
-engine (:mod:`repro.gpusim.megablock`) must be **bit-identical** — not merely
-allclose — on every paper benchmark, for the baseline kernel and for at least
-one CUDA-NP variant each.  Outputs are compared via raw buffer bytes and the
-full :class:`~repro.gpusim.stats.KernelStats` record, so a fast-path that
-drifted by a ULP or double-counted a transaction fails loudly.
+The tree-walking interpreter is the reference semantics; the batch-vectorized
+megablock engine (:mod:`repro.gpusim.megablock`) must be **bit-identical** —
+not merely allclose — on every paper benchmark, for the baseline kernel and
+for at least one CUDA-NP variant each, over the full grid and over a single
+sampled block (a one-block batch).  Outputs are compared via raw buffer
+bytes and the full :class:`~repro.gpusim.stats.KernelStats` record, so a
+fast-path that drifted by a ULP or double-counted a transaction fails
+loudly.
 
 The megablock engine additionally promises an *observable* fallback: every
-launch configuration it cannot batch exactly (traces, sim-faults,
-sanitizers, order-sensitive atomics, single-block grids) must run per block
-with the reason on :attr:`LaunchResult.megablock_fallback` — and still be
-bit-identical.  Order-free atomics (single site outside loops, or integer
-adds whose old value is discarded) batch on the fast path instead, through
-the deterministic segmented reduce, and BK — the one paper benchmark built
-on ``atomicAdd`` — now rides it with ``megablock_megawarp`` set.
+launch configuration it cannot batch exactly (traces, fault injection,
+sim-faults, sanitizers, order-sensitive atomics) must run per block on the
+interpreter with the reason on :attr:`LaunchResult.megablock_fallback` — and
+still be bit-identical, located faults included.  Order-free atomics
+(single site outside loops, or integer adds whose old value is discarded)
+batch on the fast path instead, through the deterministic segmented reduce,
+and BK — the one paper benchmark built on ``atomicAdd`` — rides it with
+``megablock_megawarp`` set.
 """
 
 import dataclasses
@@ -30,11 +32,12 @@ from repro.kernels import BENCHMARKS
 
 ALL_NAMES = list(BENCHMARKS)
 
-#: Every engine pairing checked against the interpreter reference.
-FAST_BACKENDS = ("compiled", "megablock")
+#: How megablock runs are checked against the interpreter reference: the
+#: full grid as one batch, and one sampled block as a one-block batch.
+MODES = {"megablock": {}, "one-block": {"sample_blocks": 1}}
 
 #: Scaled-down inputs so the interp-side runs stay cheap; the kernels (and
-#: therefore the compiled closures exercised) are the full paper suite.
+#: therefore the lowered closures exercised) are the full paper suite.
 SMALL = {
     "MC": dict(nvox=64),
     "LU": dict(matrix_dim=32),
@@ -59,6 +62,9 @@ def assert_identical(ref, got, label):
         assert a.dtype == b.dtype, f"{label}: buffer {name} dtype drifted"
         assert a.tobytes() == b.tobytes(), f"{label}: buffer {name} not bit-identical"
     assert ref.stats == got.stats, f"{label}: stats diverged"
+    assert (ref.error is None) == (got.error is None), f"{label}: fault"
+    if ref.error is not None:
+        assert ref.error.render() == got.error.render(), f"{label}: report"
 
 
 @pytest.fixture(scope="module")
@@ -66,37 +72,39 @@ def benches():
     return {name: cls(**SMALL[name]) for name, cls in BENCHMARKS.items()}
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_baseline_bit_identical(benches, name, backend):
+def test_baseline_bit_identical(benches, name, mode):
     bench = benches[name]
-    ref = bench.run_baseline(backend="interp")
-    got = bench.run_baseline(backend=backend)
-    assert ref.backend == "interp" and got.backend == backend
-    assert_identical(ref, got, f"{name} baseline [{backend}]")
+    ref = bench.run_baseline(backend="interp", **MODES[mode])
+    got = bench.run_baseline(backend="megablock", **MODES[mode])
+    assert ref.backend == "interp" and got.backend == "megablock"
+    assert got.megablock_fallback is None
+    assert_identical(ref, got, f"{name} baseline [{mode}]")
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_np_variant_bit_identical(benches, name, backend):
+def test_np_variant_bit_identical(benches, name, mode):
     """At least one generated CUDA-NP variant per benchmark: the master/slave
     rewrite exercises shuffles, shared staging, and barrier placement the
     baselines do not."""
     bench = benches[name]
     config = bench.configs()[0]
-    ref = bench.run_variant(config, backend="interp")
-    got = bench.run_variant(config, backend=backend)
-    assert_identical(ref, got, f"{name} {config.describe()} [{backend}]")
+    ref = bench.run_variant(config, backend="interp", **MODES[mode])
+    got = bench.run_variant(config, backend="megablock", **MODES[mode])
+    assert_identical(ref, got, f"{name} {config.describe()} [{mode}]")
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_profile_bit_identical_across_backends(benches, name, backend):
+def test_profile_bit_identical_across_backends(benches, name, mode):
     """Per-line profiles must match exactly: the counters are attributed at
-    mirrored hook points in all engines, so any drift means a hook moved."""
+    mirrored hook points in both engines, so any drift means a hook moved."""
     bench = benches[name]
-    ref = bench.run_baseline(backend="interp", profile=True)
-    got = bench.run_baseline(backend=backend, profile=True)
+    ref = bench.run_baseline(backend="interp", profile=True, **MODES[mode])
+    got = bench.run_baseline(backend="megablock", profile=True, **MODES[mode])
+    assert got.megablock_fallback is None
     assert ref.profile is not None and got.profile is not None
     mismatches = ref.profile.diff_lines(got.profile)
     assert not mismatches, f"{name}: " + "; ".join(mismatches[:10])
@@ -105,14 +113,14 @@ def test_profile_bit_identical_across_backends(benches, name, backend):
 
 
 @pytest.mark.skipif(not scheduler.available(), reason="needs POSIX fork")
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@pytest.mark.parametrize("backend", ("interp", "megablock"))
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_stats_and_profile_sequential_vs_parallel(benches, name, backend):
     """Chunk merging in the parallel scheduler must reproduce the sequential
     stats exactly (every KernelStats field merges by summation — nothing is
-    max- or last-writer-merged) and the per-line profiles likewise.  For the
-    megablock backend this also proves chunked batching (one megablock per
-    worker chunk) equals one whole-grid batch."""
+    max- or last-writer-merged) and the per-line profiles likewise, for the
+    pool's per-block interp chunks and its batched megablock chunks (one
+    megablock per worker chunk equals one whole-grid batch)."""
     bench = benches[name]
     seq = bench.run_baseline(backend=backend, profile=True)
     par = bench.run_baseline(backend=backend, profile=True, parallel=2)
@@ -140,7 +148,7 @@ def test_trace_records_identical():
     a = rng.standard_normal(128, dtype=np.float32)
     args = lambda: {"out": np.zeros(128, dtype=np.float32), "a": a.copy(), "n": 128}
     ref = run_kernel(src, 4, 32, args(), trace=True, backend="interp")
-    got = run_kernel(src, 4, 32, args(), trace=True, backend="compiled")
+    got = run_kernel(src, 4, 32, args(), trace=True, backend="megablock")
     assert ref.trace.global_accesses == got.trace.global_accesses
     assert ref.trace.shared_accesses == got.trace.shared_accesses
 
@@ -224,12 +232,14 @@ class TestMegablockFallbacks:
         assert result.megablock_fallback is None
 
     def test_single_block(self):
+        """One block batches: "single-block" refuses only the pool."""
         result = run_kernel(
             _SIMPLE, 1, 32, _simple_args(32), backend="megablock"
         )
-        assert result.megablock_fallback == "single-block"
+        assert result.megablock_fallback is None
+        assert result.megablock_megawarp is True
         ref = run_kernel(_SIMPLE, 1, 32, _simple_args(32), backend="interp")
-        assert_identical(ref, result, "single-block fallback")
+        assert_identical(ref, result, "single-block batch")
 
     def test_trace(self):
         result = self._run(trace=True)
@@ -327,10 +337,7 @@ class TestMegablockFallbacks:
             src, 4, 32, _simple_args(), backend="interp", on_error="status"
         )
         assert ref.error is not None
-        assert ref.error.message == got.error.message
-        assert np.array_equal(
-            ref.gmem.buffers()["out"].data, got.gmem.buffers()["out"].data
-        )
+        assert_identical(ref, got, "sim-fault fallback")
 
     def test_fallback_is_still_bit_identical(self):
         """The observable reason never costs correctness: an ineligible
@@ -374,10 +381,9 @@ class TestBKFastPath:
         assert_identical(ref, got, f"BK {config.describe()} fast path")
 
     def test_atomic_serializations_counted(self, bk):
-        """The new collision counter agrees across all three engines."""
+        """The collision counter agrees across both engines."""
         results = {
-            be: bk.run_baseline(backend=be)
-            for be in ("interp", "compiled", "megablock")
+            be: bk.run_baseline(backend=be) for be in ("interp", "megablock")
         }
         serial = {be: r.stats.atomic_serializations for be, r in results.items()}
         assert serial["interp"] > 0

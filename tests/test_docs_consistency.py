@@ -91,8 +91,8 @@ class TestReadme:
         env_src = from_env_src + inspect.getsource(resilience)
         for knob in re.findall(r"`(GPUSIM_[A-Z_]+)`", section):
             assert knob in env_src, f"{knob} documented but never read"
-        for knob in ("GPUSIM_POOL", "GPUSIM_LAUNCH_TIMEOUT",
-                     "GPUSIM_MAX_RETRIES", "GPUSIM_BREAKER_THRESHOLD"):
+        for knob in ("GPUSIM_LAUNCH_TIMEOUT", "GPUSIM_MAX_RETRIES",
+                     "GPUSIM_BREAKER_THRESHOLD"):
             assert knob in section, f"{knob} missing from Resilience section"
         assert "resilience" in inspect.signature(launch).parameters
         fields = {f.name for f in LaunchResult.__dataclass_fields__.values()}
@@ -192,6 +192,16 @@ class TestReadme:
             2, 32, {"o": np.zeros(64, np.int32)},
         )
         assert result.backend == marked[0]
+
+    def test_engine_list_is_launch_backends(self):
+        """The Performance section lists exactly the engines launch()
+        accepts, in the same order."""
+        from repro.gpusim.launch import BACKENDS
+
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Performance", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^- \*\*`(\w+)`\*\*", section, re.MULTILINE)
+        assert tuple(listed) == BACKENDS
 
     def test_serving_section_documents_real_surface(self):
         """The Serving section's endpoints, knobs, CLI flags, and wire
@@ -311,7 +321,8 @@ class TestDesign:
         """DESIGN.md must explain the batch axis and name real anchors."""
         design = (ROOT / "DESIGN.md").read_text()
         assert "## Batch axis & divergence masks" in design
-        for anchor in ("#mb", "megablock_fallback", "BatchedSharedArray",
+        for anchor in ("compile_megablock", "megablock_fallback",
+                       "BatchedSharedArray",
                        "(blocks, lanes)"):
             assert anchor in design, anchor
 

@@ -1,9 +1,10 @@
-"""Closure-compiled backend: feature parity, cache behaviour, env toggle.
+"""Megablock lowering: feature parity, cache behaviour, env toggle.
 
 Complements ``test_backend_differential.py`` (which sweeps the paper suite):
-here each simulator feature gets a focused kernel run under both backends and
-compared bit-for-bit, and the kernel/variant compile caches get dedicated
-hit/miss/invalidation coverage.
+here each simulator feature gets a focused kernel — mostly one-block grids,
+which run as a one-block batch — under both backends, compared bit-for-bit,
+and the kernel/variant compile caches get dedicated hit/miss/invalidation
+coverage.
 """
 
 import multiprocessing
@@ -14,7 +15,6 @@ import pytest
 
 from repro.gpusim import scheduler
 from repro.gpusim.compile import (
-    CompiledKernel,
     clear_compile_cache,
     compile_cache_stats,
     compile_kernel,
@@ -22,6 +22,7 @@ from repro.gpusim.compile import (
 )
 from repro.gpusim.errors import SimError
 from repro.gpusim.launch import run_kernel
+from repro.gpusim.megablock import MegaKernel, compile_megablock
 from repro.minicuda.parser import parse_kernel
 from repro.npc.config import NpConfig
 from repro.npc.pipeline import (
@@ -42,7 +43,8 @@ def both(src, grid=1, block=32, **kwargs):
         }
 
     ref = run_kernel(src, grid, block, fresh(), backend="interp")
-    got = run_kernel(src, grid, block, fresh(), backend="compiled")
+    got = run_kernel(src, grid, block, fresh(), backend="megablock")
+    assert got.megablock_fallback is None
     for name, buf in ref.gmem.buffers().items():
         other = got.gmem.buffers()[name]
         assert buf.data.dtype == other.data.dtype
@@ -193,9 +195,10 @@ class TestErrorParity:
         )
         got = run_kernel(
             src, 1, 32, {"o": np.zeros(32, np.float32)},
-            backend="compiled", on_error="status",
+            backend="megablock", on_error="status",
         )
         assert ref.error is not None and got.error is not None
+        assert got.megablock_fallback == "sim-fault"
         assert ref.error.summary() == got.error.summary()
 
     def test_located_exception(self):
@@ -210,7 +213,7 @@ class TestErrorParity:
                        backend="interp")
         with pytest.raises(SimError) as got_exc:
             run_kernel(src, 1, 32, {"o": np.zeros(32, np.float32)},
-                       backend="compiled")
+                       backend="megablock")
         assert str(ref_exc.value) == str(got_exc.value)
 
     def test_unknown_backend_rejected(self):
@@ -218,6 +221,20 @@ class TestErrorParity:
             run_kernel(
                 "__global__ void t(int *o) { o[0] = 1; }",
                 1, 1, {"o": np.zeros(1, np.int32)}, backend="jit",
+            )
+
+    @pytest.mark.parametrize("via", ["argument", "env"])
+    def test_removed_compiled_backend_rejected(self, via, monkeypatch):
+        """``"compiled"`` names no engine; choosing it is an error that
+        lists the two engines there are."""
+        kwargs = {"backend": "compiled"}
+        if via == "env":
+            monkeypatch.setenv("GPUSIM_BACKEND", "compiled")
+            kwargs = {}
+        with pytest.raises(ValueError, match="'interp' or 'megablock'"):
+            run_kernel(
+                "__global__ void t(int *o) { o[0] = 1; }",
+                1, 1, {"o": np.zeros(1, np.int32)}, **kwargs,
             )
 
 
@@ -231,15 +248,15 @@ class TestEnvToggle:
         monkeypatch.delenv("GPUSIM_BACKEND", raising=False)
         assert self.run().backend == "megablock"
 
-    def test_env_selects_compiled(self, monkeypatch):
-        monkeypatch.setenv("GPUSIM_BACKEND", "compiled")
-        assert self.run().backend == "compiled"
+    def test_env_selects_interp(self, monkeypatch):
+        monkeypatch.setenv("GPUSIM_BACKEND", "interp")
+        assert self.run().backend == "interp"
 
     def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("GPUSIM_BACKEND", "compiled")
+        monkeypatch.setenv("GPUSIM_BACKEND", "interp")
         res = run_kernel(self.SRC, 1, 32, {"o": np.zeros(32, np.int32)},
-                         backend="interp")
-        assert res.backend == "interp"
+                         backend="megablock")
+        assert res.backend == "megablock"
 
 
 SRC_A = "__global__ void a(int *o) { o[threadIdx.x] = threadIdx.x; }"
@@ -253,7 +270,7 @@ class TestKernelCompileCache:
     def test_hit_and_miss_counters(self):
         k = parse_kernel(SRC_A)
         c1 = compile_kernel(k)
-        assert isinstance(c1, CompiledKernel)
+        assert isinstance(c1, MegaKernel)
         stats = compile_cache_stats()
         assert (stats.hits, stats.misses, stats.size) == (0, 1, 1)
         c2 = compile_kernel(k)
@@ -279,11 +296,12 @@ class TestKernelCompileCache:
 
     def test_launches_share_cache(self):
         run_kernel(SRC_A, 1, 32, {"o": np.zeros(32, np.int32)},
-                   backend="compiled")
+                   backend="megablock")
         run_kernel(SRC_A, 1, 32, {"o": np.zeros(32, np.int32)},
-                   backend="compiled")
+                   backend="megablock")
         stats = compile_cache_stats()
-        assert stats.misses == 1 and stats.hits >= 1
+        # One lookup per launch: the plan and the executor share it.
+        assert (stats.misses, stats.hits) == (1, 1)
 
     def test_uncached_compile(self):
         c = compile_kernel(parse_kernel(SRC_A), cache=False)
@@ -304,25 +322,17 @@ class TestKernelCompileCache:
         assert compile_kernel(k, profile=True) is prof
 
     def test_variant_breakdown(self):
-        """Cache growth from the megablock backend is observable: entries
-        are reported per variant suffix (base / #prof / megablock)."""
-        from repro.gpusim.megablock import compile_megablock
-
+        """``compile_kernel`` and ``compile_megablock`` are one lowering and
+        share one cache entry; profiled entries are reported separately."""
         k = parse_kernel(SRC_A)
-        assert compile_cache_stats().variants == {
-            "base": 0, "prof": 0, "megablock": 0,
-        }
-        compile_kernel(k)
-        compile_kernel(k, profile=True)
+        assert compile_cache_stats().variants == {"base": 0, "prof": 0}
         mb = compile_megablock(k)
         mb_prof = compile_megablock(k, profile=True)
+        assert compile_kernel(k) is mb
+        assert compile_kernel(k, profile=True) is mb_prof
         stats = compile_cache_stats()
-        # #mb and #mb#prof both count as megablock entries.
-        assert stats.variants == {"base": 1, "prof": 1, "megablock": 2}
-        assert stats.size == 4
-        # Megablock keys hit like any other entry.
-        assert compile_megablock(k) is mb
-        assert compile_megablock(k, profile=True) is mb_prof
+        assert stats.variants == {"base": 1, "prof": 1}
+        assert stats.size == 2
         assert mb_prof.profiled and not mb.profiled
 
 

@@ -72,8 +72,8 @@ class TestChunking:
 @pytest.mark.skipif(not scheduler.available(), reason="needs POSIX fork")
 class TestParallelExecution:
     def test_bit_identical_to_sequential(self):
-        seq = launch(backend="compiled")
-        par = launch(backend="compiled", parallel=2)
+        seq = launch(backend="megablock")
+        par = launch(backend="megablock", parallel=2)
         assert par.parallel_workers == 2
         assert par.parallel_fallback is None
         assert seq.parallel_workers is None
@@ -102,25 +102,25 @@ class TestParallelExecution:
 
     def test_single_block_stays_sequential(self):
         res = run_kernel(
-            SRC, 1, 32, make_args(), backend="compiled", parallel=2
+            SRC, 1, 32, make_args(), backend="megablock", parallel=2
         )
         assert res.parallel_workers is None
         assert res.parallel_fallback == "single-block"
 
     def test_trace_falls_back(self):
-        res = launch(backend="compiled", parallel=2, trace=True)
+        res = launch(backend="megablock", parallel=2, trace=True)
         assert res.parallel_workers is None
         assert res.parallel_fallback == "trace"
         assert res.trace.global_accesses  # trace actually recorded
 
     def test_racecheck_falls_back(self):
-        res = launch(backend="compiled", parallel=2, racecheck=True)
+        res = launch(backend="megablock", parallel=2, racecheck=True)
         assert res.parallel_workers is None
         assert res.parallel_fallback == "sanitizer"
 
     def test_faults_fall_back(self):
         inj = FaultInjector()
-        res = launch(backend="compiled", parallel=2, faults=inj)
+        res = launch(backend="megablock", parallel=2, faults=inj)
         assert res.parallel_workers is None
         assert res.parallel_fallback == "faults"
 
@@ -128,7 +128,7 @@ class TestParallelExecution:
         res = run_kernel(
             "__global__ void t(int *c) { atomicAdd(c[0], 1); }",
             8, 32, {"c": np.zeros(1, np.int32)},
-            backend="compiled", parallel=2,
+            backend="megablock", parallel=2,
         )
         assert res.parallel_workers is None
         assert res.parallel_fallback == "atomics"
@@ -136,7 +136,7 @@ class TestParallelExecution:
 
     def test_unavailable_falls_back(self, monkeypatch):
         monkeypatch.setattr(scheduler, "available", lambda: False)
-        res = launch(backend="compiled", parallel=2)
+        res = launch(backend="megablock", parallel=2)
         assert res.parallel_workers is None
         assert res.parallel_fallback == "unavailable"
 
@@ -149,9 +149,9 @@ class TestParallelExecution:
             " else o[threadIdx.x] = 1.0f; }"
         )
         args = lambda: {"o": np.zeros(N, np.float32)}
-        seq = run_kernel(bad, 8, 32, args(), backend="compiled",
+        seq = run_kernel(bad, 8, 32, args(), backend="megablock",
                          on_error="status")
-        par = run_kernel(bad, 8, 32, args(), backend="compiled",
+        par = run_kernel(bad, 8, 32, args(), backend="megablock",
                          parallel=2, on_error="status")
         assert seq.error is not None and par.error is not None
         assert seq.error.summary() == par.error.summary()
@@ -163,7 +163,7 @@ class TestParallelExecution:
 
     def test_env_knob_engages(self, monkeypatch):
         monkeypatch.setenv("GPUSIM_PARALLEL", "2")
-        res = launch(backend="compiled")
+        res = launch(backend="megablock")
         assert res.parallel_workers == 2
 
 
@@ -171,7 +171,7 @@ class TestBlockSampling:
     def test_sampled_ids_deduped_and_recorded(self):
         # 8 blocks sampled 5 ways: int(i * 8/5) = 0,1,3,4,6 — no duplicates
         # survive even when truncation collides.
-        res = launch(backend="compiled", sample_blocks=5)
+        res = launch(backend="megablock", sample_blocks=5)
         ids = res.sampled_block_ids
         assert ids is not None
         assert list(ids) == sorted(set(ids))
@@ -182,12 +182,12 @@ class TestBlockSampling:
         # 3 samples of 2 blocks: int(0*2/3)=0, int(1*2/3)=0, int(2*2/3)=1
         # — naive generation repeats block 0.
         res = run_kernel(
-            SRC, 2, 32, make_args(), sample_blocks=3, backend="compiled"
+            SRC, 2, 32, make_args(), sample_blocks=3, backend="megablock"
         )
         assert res.sampled_block_ids is None or len(
             res.sampled_block_ids
         ) == len(set(res.sampled_block_ids))
 
     def test_full_grid_has_no_sampled_ids(self):
-        res = launch(backend="compiled")
+        res = launch(backend="megablock")
         assert res.sampled_block_ids is None

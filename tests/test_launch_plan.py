@@ -28,8 +28,9 @@ CASES = [
     ("sequential", {}, "megablock", 0, (True, None, None, False)),
     ("one-worker", {"trace": True}, "megablock", 1,
      (False, "trace", None, False)),
+    # One block batches; only the pool has nothing to fan out.
     ("single-block", {"blocks": 1}, "megablock", 4,
-     (False, "single-block", "single-block", False)),
+     (True, None, "single-block", False)),
     ("trace", {"trace": True}, "megablock", 4, (False, "trace", "trace", False)),
     ("sim-faults", {"faults": sim_faults()}, "megablock", 4,
      (False, "faults", "faults", False)),
@@ -48,7 +49,7 @@ CASES = [
     ("breaker-open", {"breaker_allows": NEVER}, "megablock", 4,
      (True, None, "breaker-open", False)),
     # Batch rows apply only to megablock; the pool rows to every engine.
-    ("compiled-trace", {"trace": True}, "compiled", 4,
+    ("interp-trace", {"trace": True}, "interp", 4,
      (False, None, "trace", False)),
     ("interp-atomics", {"uses_atomics": True, "batch_atomics": NEVER},
      "interp", 4, (False, None, "atomics", False)),
@@ -77,11 +78,12 @@ def test_every_table_reason_is_covered():
 def test_reason_targets():
     refuses = {reason: set(targets) for reason, targets, _holds in ELIGIBILITY}
     assert refuses["atomic-order"] == {"batch"}
-    for reason in ("atomics", "unavailable", "breaker-open"):
+    # One block batches; it only has nothing to fan out.
+    for reason in ("single-block", "atomics", "unavailable", "breaker-open"):
         assert refuses[reason] == {"pool"}
     # Whatever refuses the batch refuses the pool too ("atomic-order"
     # implies atomics), so a pooled megablock launch always batches.
-    for reason in ("single-block", "trace", "faults", "sanitizer"):
+    for reason in ("trace", "faults", "sanitizer"):
         assert refuses[reason] == {"batch", "pool"}
 
 
@@ -115,7 +117,8 @@ class TestProbes:
         probe = _Probe(False)
         for facts, backend in (
             (LaunchFacts(blocks=8, batch_atomics=probe), "megablock"),
-            (LaunchFacts(blocks=8, uses_atomics=True, batch_atomics=probe), "compiled"),
+            (LaunchFacts(blocks=8, uses_atomics=True, batch_atomics=probe),
+             "interp"),
             (LaunchFacts(blocks=8, uses_atomics=True, sanitizer=True,
                          batch_atomics=probe), "megablock"),
         ):
@@ -143,7 +146,8 @@ class TestDefaultResolution:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("GPUSIM_BACKEND", "interp")
-        assert plan_launch(LaunchFacts(blocks=8), "compiled").engine == "compiled"
+        plan = plan_launch(LaunchFacts(blocks=8), "megablock")
+        assert plan.engine == "megablock"
 
     def test_unknown_backend_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="backend"):

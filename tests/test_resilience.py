@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.gpusim import scheduler
-from repro.gpusim.errors import LaunchError
 from repro.gpusim.faults import FaultInjector, FaultSpec
 from repro.gpusim.launch import run_kernel
 from repro.gpusim.pool import get_pool, shutdown_pool
@@ -113,29 +112,26 @@ def launch(**kwargs):
 
 class TestConfig:
     def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("GPUSIM_POOL", "fork")
         monkeypatch.setenv("GPUSIM_LAUNCH_TIMEOUT", "12.5")
         monkeypatch.setenv("GPUSIM_MAX_RETRIES", "5")
         monkeypatch.setenv("GPUSIM_BREAKER_THRESHOLD", "7")
         cfg = ResilienceConfig.from_env()
-        assert cfg.pool_mode == "fork"
         assert cfg.launch_timeout == 12.5
         assert cfg.max_retries == 5
         assert cfg.breaker_threshold == 7
 
     def test_env_defaults(self, monkeypatch):
-        for knob in ("GPUSIM_POOL", "GPUSIM_LAUNCH_TIMEOUT",
-                     "GPUSIM_MAX_RETRIES", "GPUSIM_BREAKER_THRESHOLD"):
+        for knob in ("GPUSIM_LAUNCH_TIMEOUT", "GPUSIM_MAX_RETRIES",
+                     "GPUSIM_BREAKER_THRESHOLD"):
             monkeypatch.delenv(knob, raising=False)
         cfg = ResilienceConfig.from_env()
-        assert cfg.pool_mode == "persistent"
         assert cfg.launch_timeout is None  # tier-1 default: no wall deadline
         assert cfg.max_retries == 2
         assert cfg.breaker_threshold == 3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(pool_mode="threads")
+        with pytest.raises(TypeError):  # one substrate: no pool_mode knob
+            ResilienceConfig(pool_mode="fork")
         with pytest.raises(ValueError):
             ResilienceConfig(max_retries=-1)
         with pytest.raises(ValueError):
@@ -170,11 +166,9 @@ class TestChaosBitIdentity:
     )
     def test_bit_identical_under_fault(self, benches, name, kind):
         bench = benches[name]
-        seq = bench.run_baseline(backend="compiled")
+        seq = bench.run_baseline()
         inj = FaultInjector([FaultSpec(kind=kind, count=1, delay=0.05)])
-        par = bench.run_baseline(
-            backend="compiled", parallel=2, faults=inj, resilience=FAST
-        )
+        par = bench.run_baseline(parallel=2, faults=inj, resilience=FAST)
         assert_identical(seq, par, f"{name} under {kind}")
         t = par.resilience
         if t is None:
@@ -182,7 +176,6 @@ class TestChaosBitIdentity:
             # scaled-down size); nothing parallel happened to supervise.
             assert par.parallel_fallback == "single-block"
             return
-        assert t.pool_mode == "persistent"
         if par.parallel_fallback is None:
             # Recovered in place: the schedule says exactly what happened.
             if kind == "worker_crash":
@@ -254,37 +247,6 @@ class TestDeadlines:
         kill = next(e for e in t.events if e.kind == "deadline-kill")
         assert kill.worker is not None and kill.chunk is not None
         assert_identical(launch(), res, "hung worker")
-
-    def test_legacy_fork_deadline_raises_located_error(self):
-        inj = FaultInjector([FaultSpec(kind="worker_hang", count=1)])
-        cfg = ResilienceConfig(pool_mode="fork", launch_timeout=1.0)
-        with pytest.raises(LaunchError) as exc:
-            launch(parallel=2, faults=inj, resilience=cfg)
-        msg = str(exc.value)
-        assert "GPUSIM_LAUNCH_TIMEOUT" in msg
-        assert "chunk" in msg and "pid" in msg
-
-    def test_legacy_fork_no_timeout_by_default(self):
-        cfg = ResilienceConfig(pool_mode="fork")
-        res = launch(parallel=2, resilience=cfg)
-        assert res.parallel_fallback is None
-        assert res.resilience.pool_mode == "fork"
-        assert_identical(launch(), res, "legacy fork")
-
-
-@needs_fork
-class TestReentrancy:
-    def test_fork_path_refuses_nested_launch(self, monkeypatch):
-        monkeypatch.setattr(scheduler, "_WORK", (None, None, None, {}))
-        cfg = ResilienceConfig(pool_mode="fork")
-        with pytest.raises(LaunchError) as exc:
-            launch(parallel=2, resilience=cfg)
-        assert "not reentrant" in str(exc.value)
-
-    def test_work_tuple_restored_after_launch(self):
-        cfg = ResilienceConfig(pool_mode="fork")
-        launch(parallel=2, resilience=cfg)
-        assert scheduler._WORK is None
 
 
 class TestCircuitBreakerMachine:
@@ -493,13 +455,12 @@ class TestTelemetryPlumbing:
         res = launch(parallel=2)
         t = res.resilience
         assert t is not None
-        assert t.pool_mode == "persistent"
         assert t.workers == 2
         assert t.chunks >= 2
         assert t.attempts == t.chunks
         assert t.retries == 0 and t.worker_faults == 0
         assert t.breaker_state == "closed" and t.degraded is None
-        assert "pool=persistent" in t.summary()
+        assert t.summary().startswith("workers=2 ")
 
     def test_sequential_launch_has_no_telemetry(self):
         res = launch()

@@ -151,7 +151,7 @@ class TestProtocol:
             {**base, "args": {**base["args"], "n": 5}},
             {**base, "args": {"x": encode_array(np.ones(4, dtype=np.float32)),
                               "n": 4}},
-            {**base, "options": {"backend": "compiled"}},
+            {**base, "options": {"backend": "interp"}},
             {**base, "options": {"profile": True}},
         ]
         for variant in variants:
