@@ -2,14 +2,15 @@
 
 :func:`generate` derives a random — but fully deterministic per seed —
 kernel from a small race-free grammar: nested loops, divergent branches,
-shared staging through ``__syncthreads``, local arrays, warp shuffles with
-literal widths, and global atomics (both the order-free shapes the
-megablock engine batches and the order-sensitive shapes that must take its
-``"atomic-order"`` fallback).  Every generated kernel is legal by
-construction: indices are reduced modulo the buffer size, each thread
-writes only its own output slots (or goes through ``atomicAdd``), shared
-arrays follow the write → barrier → read discipline, and barriers only
-appear at top level where the whole block reaches them.
+shared staging through ``__syncthreads``, lane-strided and wrapped reads,
+local arrays, warp shuffles with literal widths, and global atomics (both
+the order-free shapes the megablock engine batches and the order-sensitive
+shapes that must take its ``"atomic-order"`` fallback).  Every generated
+kernel is legal by construction: indices are reduced modulo the buffer
+size, each thread writes only its own output slots (or goes through
+``atomicAdd``), shared arrays follow the write → barrier → read
+discipline, and barriers only appear at top level where the whole block
+reaches them.
 
 :func:`check` runs one kernel through the interpreter reference and each
 fast engine on identical inputs and demands *bit-identical* buffer bytes
@@ -33,6 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..gpusim.launch import run_kernel
+from ..gpusim.megablock import ROW_CLASS_FLOOR
 
 __all__ = ["FuzzKernel", "generate", "check", "minimize", "BACKENDS"]
 
@@ -302,6 +304,27 @@ def _chunk_atomic(rng: random.Random, k: int, block: int) -> str:
     ])
 
 
+def _chunk_strided(rng: random.Random, k: int, block: int) -> str:
+    """Lane-strided reads: a global read whose rows are lane-affine until
+    the ``% n`` wraps one, staged through a shared slot and read back at a
+    strided (wrapped) shared index, optionally under a divergent branch."""
+    stride = rng.choice([0, 1, 2, 3, 4, 8, 32, 33])
+    lines = [
+        f"__shared__ float st{k}[{block}];",
+        f"st{k}[tid] = a[(gid * {stride} + {rng.randrange(0, 64)}) % n];",
+        "__syncthreads();",
+    ]
+    read = f"st{k}[(tid * {rng.choice([1, 2, 3, 4, 8, 16, 32])}) % {block}]"
+    if rng.random() < 0.5:
+        lines.append(_accum(rng, read))
+    else:
+        again = f"a[(gid * {rng.choice([1, 2, 4, 32])} + {rng.randrange(0, 64)}) % n]"
+        lines.append(f"if ({_icond(rng)}) {{")
+        lines.append(f"    {_accum(rng, f'{read} + {again}')}")
+        lines.append("}")
+    return "\n".join(lines)
+
+
 _CHUNKS: tuple[Callable[[random.Random, int, int], str], ...] = (
     _chunk_arith,
     _chunk_branch,
@@ -311,13 +334,16 @@ _CHUNKS: tuple[Callable[[random.Random, int, int], str], ...] = (
     _chunk_shared,
     _chunk_shuffle,
     _chunk_atomic,
+    _chunk_strided,
 )
 
 
 def generate(seed: int) -> FuzzKernel:
     """Deterministically derive one fuzz kernel from ``seed``."""
     rng = random.Random(seed)
-    grid = rng.choice([2, 3, 4])
+    # One grid in four batches at least ROW_CLASS_FLOOR rows, where
+    # megablock's access-stat reductions take their row-class front end.
+    grid = rng.choice([2, 3, 4, ROW_CLASS_FLOOR])
     block = rng.choice([32, 64])
     nchunks = rng.randrange(3, 9)
     chunks = []

@@ -21,6 +21,7 @@ and BK — the one paper benchmark built on ``atomicAdd`` — rides it with
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ import pytest
 from repro.gpusim import scheduler
 from repro.gpusim.faults import FaultInjector, FaultSpec
 from repro.gpusim.launch import run_kernel
+from repro.gpusim.megablock import ROW_CLASS_FLOOR
 from repro.kernels import BENCHMARKS
 
 ALL_NAMES = list(BENCHMARKS)
@@ -110,6 +112,51 @@ def test_profile_bit_identical_across_backends(benches, name, mode):
     assert not mismatches, f"{name}: " + "; ".join(mismatches[:10])
     assert ref.profile.blocks == got.profile.blocks, f"{name}: block costs"
     assert ref.profile.total_issues > 0
+
+
+#: Grids of at least ``ROW_CLASS_FLOOR`` rows (blocks x warps per block), so
+#: megablock's access-stat reductions take their row-class front end; the
+#: ``SMALL`` grids stay under the floor and only reach the general sort.
+ABOVE_FLOOR = {
+    "MC": dict(nvox=1024),
+    "LU": dict(matrix_dim=1056, offset=512),
+    "LE": dict(positions=1024, block=32),
+    "MV": dict(width=64, height=2048, block=64),
+    "SS": dict(dim=64, points=1024, block=32),
+    "LIB": dict(npath=1024, block=32),
+    "CFD": dict(ncells=2048, block=32),
+    "BK": dict(elements=32768, block=32),
+    "TMV": dict(width=2048, height=64, block=32),
+    "NN": dict(records=64, queries=1024, block=32),
+}
+
+
+@pytest.mark.parametrize("which", ("baseline", "variant"))
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_above_row_floor_bit_identical(name, which):
+    """Stats, per-line profiles and output bytes match the interpreter on
+    grids whose batches are large enough for the row-class reductions."""
+    bench = BENCHMARKS[name](**ABOVE_FLOOR[name])
+    warps = -(-int(np.prod(bench.block_size)) // 32)
+    assert int(np.prod(bench.grid)) * warps >= ROW_CLASS_FLOOR
+    run = bench.run_baseline
+    if which == "variant":
+        run = functools.partial(bench.run_variant, bench.configs()[0])
+    ref = run(backend="interp", profile=True)
+    got = run(backend="megablock", profile=True)
+    assert got.megablock_fallback is None
+    assert_identical(ref, got, f"{name} {which} [above floor]")
+    mismatches = ref.profile.diff_lines(got.profile)
+    if (name, which) == ("NN", "variant"):
+        # Known drift, also at the SMALL sizes: a statement the NP transform
+        # synthesizes has no source line, so its counters go to the last
+        # line the warp executed.  The interpreter tracks that per warp,
+        # megablock once per batch, so the master and slave warps' shared
+        # broadcast loads land on different lines.  Stats are unaffected.
+        assert mismatches, "NN variant profiles now match: drop this case"
+        pytest.xfail("per-warp attribution of unlocated NP statements")
+    assert not mismatches, f"{name} {which}: " + "; ".join(mismatches[:10])
+    assert ref.profile.blocks == got.profile.blocks, f"{name}: block costs"
 
 
 @pytest.mark.skipif(not scheduler.available(), reason="needs POSIX fork")

@@ -16,6 +16,7 @@ import os
 
 import pytest
 
+from repro.gpusim.megablock import ROW_CLASS_FLOOR
 from repro.testing.fuzzgen import BACKENDS, check, generate, minimize
 
 FUZZ_COUNT = int(os.environ.get("GPUSIM_FUZZ_COUNT", "48"))
@@ -58,6 +59,8 @@ def test_corpus_covers_every_feature():
         "__shfl", "atomicAdd(", "? ",
     ):
         assert feature in corpus, f"corpus never generated {feature!r}"
+    grids = {generate(BASE_SEED + i).grid for i in range(FUZZ_COUNT)}
+    assert max(grids) >= ROW_CLASS_FLOOR, "no grid reaches the row-class floor"
 
 
 def test_minimizer_reduces_to_single_chunk():

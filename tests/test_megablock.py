@@ -12,11 +12,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpusim import scheduler
 from repro.gpusim.errors import SimError
 from repro.gpusim.launch import run_kernel
+from repro.gpusim.coalescing import (
+    bank_conflict_replays,
+    is_fully_coalesced,
+    transactions_for,
+)
 from repro.gpusim.megablock import (
+    ROW_CLASS_FLOOR,
+    _STRIDE_TABLES,
+    _STRIDE_TABLES_MAX,
     _batch_bank_replays,
     _batch_const_serialized,
     _batch_global_stats,
@@ -55,8 +64,7 @@ def test_batch_global_stats_matches_per_block():
 
     rng = np.random.default_rng(6)
     addrs, mask = _rand_case(rng)
-    active_rows = mask.sum(axis=1)
-    txns, unco = _batch_global_stats(addrs, mask, 4, active_rows)
+    txns, unco = _batch_global_stats(addrs, mask, 4)
     for row in range(addrs.shape[0]):
         assert txns[row] == transactions_for(addrs[row], mask[row])
         coalesced = is_fully_coalesced(addrs[row], mask[row], 4)
@@ -82,6 +90,71 @@ def test_batch_const_serialized_matches_per_block():
     got = _batch_const_serialized(addrs, mask)
     for row in range(addrs.shape[0]):
         assert bool(got[row]) == (not broadcast_segments(addrs[row], mask[row]))
+
+
+# ---------------------------------------------------------------------------
+# Row-class front end: batches on both sides of the row floor, every address
+# and mask class, against the per-block scalars
+# ---------------------------------------------------------------------------
+
+_LANES = np.arange(32, dtype=np.int64)
+
+
+@st.composite
+def _access_batches(draw):
+    """``(byte_addrs, mask, itemsize)`` for one batched access."""
+    nrows = draw(st.one_of(
+        st.integers(1, 8),
+        st.integers(ROW_CLASS_FLOOR, ROW_CLASS_FLOOR + 40),
+    ))
+    itemsize = draw(st.sampled_from([1, 2, 4, 8]))
+    stride = itemsize * draw(st.one_of(
+        st.sampled_from([0, 1, -1, 3, 32, 33, -64]), st.integers(-300, 300)
+    ))
+    kind = draw(st.sampled_from(
+        ["lane-only", "lane-gather", "uniform", "per-row", "wrapped", "gather"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Unaligned byte bases, some of them negative.
+    base = rng.integers(-4096, 1 << 20, size=(nrows, 1))
+    if kind == "lane-only":
+        addrs = base[0, 0] + stride * _LANES
+    elif kind == "lane-gather":
+        addrs = rng.integers(-4096, 1 << 12, size=32)
+    elif kind == "uniform":
+        addrs = base + stride * _LANES
+    elif kind == "per-row":
+        strides = rng.choice([stride, stride + itemsize, -stride], size=(nrows, 1))
+        addrs = base + strides * _LANES
+    elif kind == "wrapped":
+        modulus = int(rng.integers(2, 64))
+        addrs = base + (stride * _LANES) % (modulus * itemsize)
+    else:
+        addrs = base + rng.integers(0, 1 << 12, size=(nrows, 32)) * itemsize
+    # Full, partial and empty rows, in proportions from all-full to none.
+    weights = draw(st.sampled_from([(1, 0, 0), (6, 3, 1), (0, 3, 1), (1, 0, 1)]))
+    row_kind = rng.choice(3, size=nrows, p=np.array(weights) / sum(weights))
+    mask = np.ones((nrows, 32), dtype=bool)
+    density = draw(st.sampled_from([0.5, 0.95]))
+    mask[row_kind == 1] = rng.random(((row_kind == 1).sum(), 32)) < density
+    mask[row_kind == 2] = False
+    return addrs.astype(np.int64), mask, itemsize
+
+
+@settings(max_examples=300, deadline=None)
+@given(_access_batches())
+def test_row_class_reductions_match_per_block(batch):
+    addrs, mask, itemsize = batch
+    txns = _batch_txns(addrs, mask)
+    stats_txns, uncoalesced = _batch_global_stats(addrs, mask, itemsize)
+    replays = _batch_bank_replays(addrs, mask)
+    rows = np.broadcast_to(addrs, mask.shape)
+    for row in range(mask.shape[0]):
+        a, m = rows[row], mask[row]
+        assert txns[row] == stats_txns[row] == transactions_for(a, m)
+        assert bool(uncoalesced[row]) == (not is_fully_coalesced(a, m, itemsize))
+        assert replays[row] == bank_conflict_replays(a, m)
+    assert len(_STRIDE_TABLES) <= _STRIDE_TABLES_MAX
 
 
 # ---------------------------------------------------------------------------
