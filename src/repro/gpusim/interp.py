@@ -936,7 +936,8 @@ class WarpScaffold:
     and the launch shape, so they are computed once per launch and shared by
     every :class:`BlockExecutor` instead of being rebuilt per block per warp.
     Nothing in the interpreter mutates these arrays in place, which makes
-    sharing them across blocks safe.
+    sharing them across blocks safe.  ``decls`` passes in an already
+    computed ``shared_decls(kernel)`` (the megablock lowering keeps one).
     """
 
     def __init__(
@@ -944,11 +945,12 @@ class WarpScaffold:
         kernel: Kernel,
         block_dim: tuple[int, int, int],
         grid_dim: tuple[int, int, int],
+        decls: Optional[list[VarDecl]] = None,
     ):
         self.kernel = kernel
         self.block_dim = block_dim
         self.grid_dim = grid_dim
-        self.shared_decls = shared_decls(kernel)
+        self.shared_decls = shared_decls(kernel) if decls is None else decls
         bx, by, bz = block_dim
         gx, gy, gz = grid_dim
         total = bx * by * bz

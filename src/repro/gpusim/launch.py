@@ -447,7 +447,10 @@ def launch(
             compile_megablock(kernel, profile=profile)
             if backend_name == "megablock" else None
         )
-        scaffold = WarpScaffold(kernel, block3, grid3)
+        scaffold = WarpScaffold(
+            kernel, block3, grid3,
+            decls=mega.shared_decls if mega is not None else None,
+        )
 
         # --- choose the blocks ----------------------------------------------
         gx, gy, gz = grid3
@@ -642,7 +645,7 @@ def launch(
     if usage is None:
         from ..analysis.resources import estimate_resources
 
-        report = estimate_resources(kernel)
+        report = mega.resources if mega is not None else estimate_resources(kernel)
         usage = ResourceUsage(
             reg_bytes_per_thread=report.reg_bytes_per_thread,
             shared_bytes_per_block=max(report.shared_bytes_per_block, shared_bytes),

@@ -69,6 +69,7 @@ suffix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
@@ -129,6 +130,7 @@ from .interp import (
     _pointer_arith,
     _resolve_index_chain,
     PointerValue,
+    shared_decls,
 )
 from .intrinsics import (
     BINOP_WEIGHTS,
@@ -1928,6 +1930,22 @@ class MegaKernel:
     def has_barriers(self) -> bool:
         return self.body_is_gen
 
+    # The digest covers everything both analyses read (the body, parameter
+    # types and ``const_env``, which the printer emits as ``#define`` lines),
+    # so every launch that hits this cache entry shares their results.
+
+    @cached_property
+    def shared_decls(self) -> list[VarDecl]:
+        """:func:`~repro.gpusim.interp.shared_decls` of the kernel."""
+        return shared_decls(self.kernel)
+
+    @cached_property
+    def resources(self):
+        """The kernel's :class:`~repro.analysis.resources.ResourceReport`."""
+        from ..analysis.resources import estimate_resources
+
+        return estimate_resources(self.kernel)
+
     def warp_iterator(self, ctx: MegaContext, mask: np.ndarray) -> Iterator:
         if self.body_is_gen:
             return self.body_fn(ctx, mask)
@@ -2050,7 +2068,9 @@ class MegablockExecutor:
         self.synccheck = synccheck
         self.profile = profile
         if scaffold is None:
-            scaffold = WarpScaffold(kernel, block_dim, grid_dim)
+            scaffold = WarpScaffold(
+                kernel, block_dim, grid_dim, decls=program.shared_decls
+            )
         else:
             assert scaffold.kernel is kernel and scaffold.block_dim == block_dim
         self.scaffold = scaffold

@@ -128,7 +128,11 @@ class _WorkerState:
             if spec.backend == "megablock"
             else None
         )
-        self.scaffold = WarpScaffold(spec.kernel, spec.block, spec.grid)
+        self.scaffold = WarpScaffold(
+            spec.kernel, spec.block, spec.grid,
+            decls=(self.mega_program.shared_decls
+                   if self.mega_program is not None else None),
+        )
         self.trace = AccessTrace(enabled=False)
         #: Launch-pristine snapshot every chunk diffs against and restores to.
         self.before = {

@@ -40,7 +40,7 @@ from ..minicuda.build import (
     mul,
     name,
 )
-from ..minicuda.errors import TransformError
+from ..minicuda.errors import SourceLoc, TransformError
 from ..minicuda.nodes import (
     Assign,
     Block,
@@ -103,6 +103,33 @@ def contains_parallel_loop(stmt: Stmt) -> bool:
 
 def collect_parallel_loops(stmt: Stmt) -> list[For]:
     return [node for node in walk(stmt) if is_parallel_loop(node)]
+
+
+def _locate(stmts: list[Stmt], loc: SourceLoc) -> None:
+    """Give unlocated statements a source line: each statement of ``stmts``
+    without one gets ``loc``, and each unlocated statement nested inside
+    gets the line of its nearest located enclosing statement.
+
+    The engines charge an unlocated statement's per-line profile counters
+    to the last line run, which the interpreter tracks per warp and
+    megablock per batch; after a master-only region the two disagree.  A
+    synthesized statement therefore takes the line of the source statement
+    it replaces.
+    """
+    for stmt in stmts:
+        if loc.line and not stmt.loc.line:
+            stmt.loc = loc
+        if isinstance(stmt, Block):
+            _locate(stmt.stmts, stmt.loc)
+        elif isinstance(stmt, If):
+            _locate(stmt.then.stmts, stmt.loc)
+            if stmt.els is not None:
+                _locate(stmt.els.stmts, stmt.loc)
+        elif isinstance(stmt, For):
+            heads = [s for s in (stmt.init, stmt.update) if s is not None]
+            _locate(heads + stmt.body.stmts, stmt.loc)
+        elif isinstance(stmt, While):
+            _locate(stmt.body.stmts, stmt.loc)
 
 
 def remap_thread_ids(stmt: Stmt, np_type: str) -> Stmt:
@@ -284,65 +311,75 @@ class MasterSlaveTransformer:
         def flush() -> None:
             if guard_run:
                 wrote_shared = any(self._stores_shared(s) for s in guard_run)
-                out.append(if_(eq("slave_id", 0), list(guard_run)))
-                guard_run.clear()
+                guarded = [if_(eq("slave_id", 0), list(guard_run))]
                 if wrote_shared and self.config.np_type == "inter":
                     # A master-only store to shared memory is unordered with
                     # reads from slave *warps* until a block barrier; intra-warp
                     # slaves are lockstep with their master and need none.
-                    out.append(sync_stmt())
+                    guarded.append(sync_stmt())
                     if "barrier after master-only shared stores" not in self.notes:
                         self.notes.append("barrier after master-only shared stores")
+                _locate(guarded, guard_run[0].loc)
+                out.extend(guarded)
+                guard_run.clear()
 
         for idx, stmt in enumerate(stmts):
-            if is_parallel_loop(stmt):
-                flush()
-                assert isinstance(stmt, For)
-                info = normalize_loop(stmt)
-                if self.section_sync:
-                    out.append(sync_stmt())
-                out.extend(self._broadcasts_for(stmt, exclude={info.iterator}))
-                rest_uses: set[str] = set()
-                for later in stmts[idx + 1:]:
-                    rest_uses |= stmt_uses(later)
-                out.extend(self._xform_parallel_loop(stmt, rest_uses))
-                if self.section_sync:
-                    out.append(sync_stmt())
-                continue
-            if contains_parallel_loop(stmt):
-                flush()
-                out.append(self._xform_container(stmt))
-                continue
-            if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Call) and stmt.expr.func == "__syncthreads":
-                flush()
-                out.append(clone(stmt))
-                continue
-            if isinstance(stmt, Return):
-                flush()
-                out.append(clone(stmt))
-                continue
-            if isinstance(stmt, If) and any(isinstance(n, Return) for n in walk(stmt)):
-                flush()
-                out.append(self._xform_early_exit(stmt))
-                continue
-            # --- ordinary sequential statement ---------------------------
-            if isinstance(stmt, VarDecl):
-                self._xform_decl(stmt, out, guard_run, flush)
-                continue
-            if self.config.redundant_compute and redundant_executable(
-                stmt, self.uniform
-            ):
-                flush()
-                out.append(clone(stmt))
-                self.uniform.update(stmt)
-                self.slave_valid |= stmt_defs(stmt)
-                continue
-            guard_run.append(clone(stmt))
-            self.uniform.update(stmt)
-            self.uniform.kill(stmt_defs(stmt))
-            self.slave_valid -= stmt_defs(stmt)
+            n_out, n_guard = len(out), len(guard_run)
+            self._xform_stmt(idx, stmt, stmts, out, guard_run, flush)
+            _locate(out[n_out:], stmt.loc)
+            _locate(guard_run[n_guard:], stmt.loc)
         flush()
         return out
+
+    def _xform_stmt(self, idx, stmt, stmts, out, guard_run, flush) -> None:
+        """Append the translation of ``stmts[idx]`` to ``out`` (or, for a
+        master-only statement, to ``guard_run``)."""
+        if is_parallel_loop(stmt):
+            flush()
+            assert isinstance(stmt, For)
+            info = normalize_loop(stmt)
+            if self.section_sync:
+                out.append(sync_stmt())
+            out.extend(self._broadcasts_for(stmt, exclude={info.iterator}))
+            rest_uses: set[str] = set()
+            for later in stmts[idx + 1:]:
+                rest_uses |= stmt_uses(later)
+            out.extend(self._xform_parallel_loop(stmt, rest_uses))
+            if self.section_sync:
+                out.append(sync_stmt())
+            return
+        if contains_parallel_loop(stmt):
+            flush()
+            out.append(self._xform_container(stmt))
+            return
+        if isinstance(stmt, ExprStmt) and isinstance(stmt.expr, Call) and stmt.expr.func == "__syncthreads":
+            flush()
+            out.append(clone(stmt))
+            return
+        if isinstance(stmt, Return):
+            flush()
+            out.append(clone(stmt))
+            return
+        if isinstance(stmt, If) and any(isinstance(n, Return) for n in walk(stmt)):
+            flush()
+            out.append(self._xform_early_exit(stmt))
+            return
+        # --- ordinary sequential statement ---------------------------
+        if isinstance(stmt, VarDecl):
+            self._xform_decl(stmt, out, guard_run, flush)
+            return
+        if self.config.redundant_compute and redundant_executable(
+            stmt, self.uniform
+        ):
+            flush()
+            out.append(clone(stmt))
+            self.uniform.update(stmt)
+            self.slave_valid |= stmt_defs(stmt)
+            return
+        guard_run.append(clone(stmt))
+        self.uniform.update(stmt)
+        self.uniform.kill(stmt_defs(stmt))
+        self.slave_valid -= stmt_defs(stmt)
 
     def _xform_decl(self, stmt: VarDecl, out, guard_run, flush) -> None:
         from ..minicuda.nodes import PointerType

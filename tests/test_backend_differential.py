@@ -114,6 +114,26 @@ def test_profile_bit_identical_across_backends(benches, name, mode):
     assert ref.profile.total_issues > 0
 
 
+@pytest.mark.parametrize(
+    "name,slave_size", [("MC", 16), ("LIB", 32), ("CFD", 8), ("NN", 4)]
+)
+def test_np_variant_profile_bit_identical(benches, name, slave_size):
+    """Inter-warp variants whose master-only regions are followed by
+    statements the NP transform synthesizes: those statements carry the
+    line of the source statement they replace, so both engines charge
+    their counters to the same line."""
+    bench = benches[name]
+    config = next(
+        c for c in bench.configs()
+        if c.np_type == "inter" and c.slave_size == slave_size
+    )
+    ref = bench.run_variant(config, backend="interp", profile=True)
+    got = bench.run_variant(config, backend="megablock", profile=True)
+    assert_identical(ref, got, f"{name} {config.describe()}")
+    mismatches = ref.profile.diff_lines(got.profile)
+    assert not mismatches, f"{name} {config.describe()}: " + "; ".join(mismatches[:10])
+
+
 #: Grids of at least ``ROW_CLASS_FLOOR`` rows (blocks x warps per block), so
 #: megablock's access-stat reductions take their row-class front end; the
 #: ``SMALL`` grids stay under the floor and only reach the general sort.
@@ -147,14 +167,6 @@ def test_above_row_floor_bit_identical(name, which):
     assert got.megablock_fallback is None
     assert_identical(ref, got, f"{name} {which} [above floor]")
     mismatches = ref.profile.diff_lines(got.profile)
-    if (name, which) == ("NN", "variant"):
-        # Known drift, also at the SMALL sizes: a statement the NP transform
-        # synthesizes has no source line, so its counters go to the last
-        # line the warp executed.  The interpreter tracks that per warp,
-        # megablock once per batch, so the master and slave warps' shared
-        # broadcast loads land on different lines.  Stats are unaffected.
-        assert mismatches, "NN variant profiles now match: drop this case"
-        pytest.xfail("per-warp attribution of unlocated NP statements")
     assert not mismatches, f"{name} {which}: " + "; ".join(mismatches[:10])
     assert ref.profile.blocks == got.profile.blocks, f"{name}: block costs"
 

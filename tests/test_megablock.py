@@ -9,6 +9,7 @@ diff.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from repro.gpusim.megablock import (
     compile_megablock,
 )
 from repro.gpusim.memory import BatchedLocalArray, BatchedSharedArray
+from repro.kernels import BENCHMARKS
+from repro.minicuda import nodes
 from repro.minicuda.parser import parse_kernel
 
 
@@ -271,3 +274,25 @@ def test_parallel_megablock_chunks_match_sequential_batch():
     for f in dataclasses.fields(seq.stats):
         assert getattr(seq.stats, f.name) == getattr(par.stats, f.name), f.name
     assert seq.profile == par.profile
+
+
+def test_warm_launch_does_not_walk_the_ast(monkeypatch):
+    """A launch whose lowering is cached reuses the lowering's shared
+    declarations and resource report instead of re-walking the kernel."""
+    bench = BENCHMARKS["NN"]()
+    config = bench.configs()[0]
+    cold = bench.run_variant(config, backend="megablock")
+    calls = []
+    real_walk = nodes.walk
+
+    def counting_walk(node):
+        calls.append(node)
+        return real_walk(node)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "walk", None) is real_walk:
+            monkeypatch.setattr(module, "walk", counting_walk)
+    warm = bench.run_variant(config, backend="megablock")
+    assert calls == []
+    assert warm.megablock_fallback is None
+    assert warm.usage == cold.usage and warm.stats == cold.stats
